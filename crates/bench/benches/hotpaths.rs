@@ -8,12 +8,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use svc::{order_vol, LineSnapshot, SubMask, SvcConfig, SvcSystem, Vcl};
+use svc::{order_vol, LineSnapshot, SubMask, Vcl};
 use svc_mem::{Bus, CacheArray, CacheGeometry, Slot};
-use svc_multiscalar::{Engine, EngineConfig};
-use svc_sim::epoch::EpochPool;
-use svc_types::{Addr, Cycle, LineId, PlannedOp, PuId, TaskId, VersionedMemory};
-use svc_workloads::kernels;
+use svc_types::{Cycle, LineId, PuId, TaskId};
 
 /// A realistic snooped line: two committed copies (one the head of the
 /// committed chain) and two uncommitted versions in task order, linked
@@ -146,83 +143,5 @@ fn bus(c: &mut Criterion) {
     g.finish();
 }
 
-fn mul(ctx: &u64, job: &u64) -> u64 {
-    ctx.wrapping_mul(*job)
-}
-
-/// The raw cost of one epoch barrier: dispatch a tiny batch to the
-/// pool, compute, collect in job order, reclaim the context. This is
-/// the fixed per-cycle overhead a parallel planning pass pays before
-/// any planning work happens.
-fn epoch_barrier(c: &mut Criterion) {
-    let mut g = c.benchmark_group("epoch");
-    for workers in [1usize, 3] {
-        let mut pool: EpochPool<u64, u64, u64> = EpochPool::new(workers, mul);
-        g.bench_function(format!("barrier_{}lanes", workers + 1), |bench| {
-            bench.iter(|| {
-                let (ctx, out) = pool.run_epoch(black_box(7), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-                black_box((ctx, out))
-            })
-        });
-    }
-    g.finish();
-}
-
-/// A mid-run SVC system with live task assignments and warm caches, so
-/// planned accesses exercise the real snapshot/VOL/VCL path rather than
-/// the no-task fallback.
-fn warm_system() -> SvcSystem {
-    let src = kernels::producer_consumer(2_000, 6);
-    let cfg = EngineConfig {
-        num_pus: 4,
-        seed: 7,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(cfg, SvcSystem::new(SvcConfig::final_design(4)));
-    let done = engine.run_until(&src, Some(600));
-    assert!(!done, "warm-up run must pause mid-flight");
-    engine.into_memory()
-}
-
-/// One full plan/merge epoch through `VersionedMemory::plan_batch`:
-/// detach the state, shard four predicted accesses over two lanes, plan
-/// each (snapshots + VOL + VCL), merge the tokens back in job order and
-/// re-attach. The engine pays this once per planned cycle.
-fn plan_batch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("plan");
-    let mut system = warm_system();
-    let jobs: Vec<(PuId, PlannedOp)> = (0..4)
-        .map(|i| (PuId(i), PlannedOp::Load(Addr(64 * i as u64 + 1024))))
-        .collect();
-    g.bench_function("batch_4jobs_2lanes", |bench| {
-        bench.iter(|| black_box(system.plan_batch(2, black_box(&jobs))))
-    });
-    g.finish();
-}
-
-/// The per-access conflict-footprint lookup (`addr` → cache-set index)
-/// the engine records after *every* memory op while plans are live.
-fn conflict_set(c: &mut Criterion) {
-    let mut g = c.benchmark_group("plan");
-    let system = warm_system();
-    g.bench_function("conflict_set_lookup", |bench| {
-        let mut a = 0u64;
-        bench.iter(|| {
-            a = (a + 16) % 8192;
-            black_box(system.conflict_set(black_box(Addr(a))))
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    vcl,
-    vol,
-    cache_array,
-    bus,
-    epoch_barrier,
-    plan_batch,
-    conflict_set
-);
+criterion_group!(benches, vcl, vol, cache_array, bus);
 criterion_main!(benches);

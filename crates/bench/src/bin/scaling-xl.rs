@@ -1,11 +1,8 @@
 //! Extra-large scaling study: the SVC sharded far past the paper's
-//! 4-8 PU design point (64/128/256 PUs), where a single simulated
-//! machine is big enough that one grid cell is hours of sequential
-//! simulation at full budget. This is the experiment family the
-//! parallel engine exists for:
+//! 4-8 PU design point (64/128/256 PUs), where one snooping bus serves
+//! every cache and saturates from 64 PUs up. A single cell simulates
+//! hundreds of PUs sequentially, so the family leans on two knobs:
 //!
-//! * `SVC_ENGINE_THREADS=N` shards each machine's per-cycle access
-//!   planning across N lanes — byte-identical artifacts at any N;
 //! * `SVC_GRID_JOURNAL=dir` journals finished cells, so an interrupted
 //!   multi-billion-cycle sweep resumes from the completed cells;
 //! * `SVC_EXPERIMENT_BUDGET=N` scales the per-cell instruction budget
@@ -13,8 +10,9 @@
 //!   for the long-haul runs).
 //!
 //! The 9-cell grid (3 benchmarks × 3 PU counts, final SVC design) runs
-//! through the parallel harness and writes `results/scaling-xl.json`;
-//! memory labels encode the PU count (e.g. `SVC-128x8KB`).
+//! through the parallel harness (cells in parallel, each cell on one
+//! thread) and writes `results/scaling-xl.json`; memory labels encode
+//! the PU count (e.g. `SVC-128x8KB`).
 
 use svc_bench::{
     cli, harness, publish_paper_grid, run_source, MemoryKind, GRID_JOURNAL_ENV, PAPER_SEED,

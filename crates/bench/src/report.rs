@@ -41,7 +41,10 @@ pub const SCHEMA_EXPERIMENT_V2: &str = "svc-experiments/v2";
 /// (the experiments section as it stood before the last
 /// [`rotate_snapshot`]) and `speedup` (per-experiment and aggregate
 /// simulated-cycles-per-second ratios of `experiments` over
-/// `previous`). v1 documents parse fine: both sections are absent.
+/// `previous`). v1 documents parse fine: both sections are absent. v3
+/// entries add `host_cores`; entries written while the simulator had an
+/// intra-run parallel engine also carry its lane count, which readers
+/// ignore.
 pub const SCHEMA_SNAPSHOT: &str = "svc-bench-snapshot/v3";
 /// Schema tag of `results/<name>.profile.json` cycle-accounting
 /// documents (emitted only when `SVC_PROFILE` is set).
@@ -786,8 +789,6 @@ pub struct SelfMeasurement {
     pub wall_s: f64,
     /// Harness worker threads used (inter-run parallelism).
     pub threads: usize,
-    /// Engine lanes per run (intra-run parallelism, `SVC_ENGINE_THREADS`).
-    pub engine_threads: usize,
     /// Logical cores on the measuring host.
     pub host_cores: usize,
     /// Grid cells executed.
@@ -800,8 +801,8 @@ pub struct SelfMeasurement {
 
 impl SelfMeasurement {
     /// Aggregates a grid's engine reports plus the harness timing.
-    /// `engine_threads` and `host_cores` come from the environment: the
-    /// measurement describes the conditions the wall clock ran under.
+    /// `host_cores` comes from the host: the measurement describes the
+    /// conditions the wall clock ran under.
     pub fn from_reports<'a>(
         reports: impl Iterator<Item = &'a RunReport>,
         wall_s: f64,
@@ -818,7 +819,6 @@ impl SelfMeasurement {
         SelfMeasurement {
             wall_s,
             threads,
-            engine_threads: svc_multiscalar::engine_threads_from_env(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             jobs,
             sim_cycles,
@@ -848,7 +848,6 @@ impl SelfMeasurement {
         Json::obj()
             .set("wall_s", self.wall_s.into())
             .set("threads", self.threads.into())
-            .set("engine_threads", self.engine_threads.into())
             .set("host_cores", self.host_cores.into())
             .set("jobs", self.jobs.into())
             .set("sim_cycles", self.sim_cycles.into())
@@ -1087,7 +1086,6 @@ mod tests {
         let slow = SelfMeasurement {
             wall_s: 2.0,
             threads: 1,
-            engine_threads: 1,
             host_cores: 8,
             jobs: 2,
             sim_cycles: 1000,
@@ -1144,8 +1142,10 @@ mod tests {
 
     #[test]
     fn v2_snapshot_rotates_and_speeds_up_against_v3() {
-        // A committed snapshot from before the schema bump: entries
-        // carry no engine_threads/host_cores and the old schema tag.
+        // Committed snapshots from older writers: a v2 document (no
+        // host_cores, old schema tag) and an early v3 document whose
+        // entries still carry the retired engine lane count, as the
+        // committed BENCH_experiments.json does.
         let dir = std::env::temp_dir().join("svc_report_v2_compat_test");
         std::fs::create_dir_all(&dir).expect("tmp");
         let path = dir.join("BENCH_experiments.json");
@@ -1157,49 +1157,59 @@ mod tests {
             .set("committed_instrs", 500.0.into())
             .set("sim_cycles_per_sec", 500.0.into())
             .set("committed_instrs_per_sec", 250.0.into());
+        let v3_entry = v2_entry
+            .clone()
+            .set("engine_threads", 2.0.into())
+            .set("host_cores", 1.0.into());
         let v2 = Json::obj()
             .set("schema", "svc-bench-snapshot/v2".into())
             .set("experiments", Json::obj().set("table2", v2_entry));
-        std::fs::write(&path, v2.render()).expect("seed v2 snapshot");
-
-        // Rotation promotes the v2 entries to `previous` unchanged and
-        // upgrades the document tag.
-        rotate_snapshot_at(&path).expect("rotate v2");
-        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(SCHEMA_SNAPSHOT)
-        );
-        assert!(doc.get("previous").and_then(|p| p.get("table2")).is_some());
-
-        // A fresh v3 measurement computes its speedup against the v2
-        // baseline: readers only touch the fields both schemas share.
+        let v3 = Json::obj()
+            .set("schema", SCHEMA_SNAPSHOT.into())
+            .set("experiments", Json::obj().set("table2", v3_entry.clone()))
+            .set("previous", Json::obj().set("table2", v3_entry));
         let fast = SelfMeasurement {
             wall_s: 1.0,
             threads: 1,
-            engine_threads: 2,
             host_cores: 8,
             jobs: 2,
             sim_cycles: 1000,
             committed_instrs: 500,
         };
-        record_snapshot_at(&path, "table2", fast).expect("record v3");
-        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-        let entry = doc
-            .get("experiments")
-            .and_then(|e| e.get("table2"))
-            .unwrap();
-        assert_eq!(
-            entry.get("engine_threads").and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(entry.get("host_cores").and_then(Json::as_f64), Some(8.0));
-        assert_eq!(
-            doc.get("speedup")
-                .and_then(|s| s.get("aggregate"))
-                .and_then(Json::as_f64),
-            Some(2.0)
-        );
+        for seed in [v2, v3] {
+            std::fs::write(&path, seed.render()).expect("seed old snapshot");
+
+            // Rotation promotes the old entries to `previous` unchanged
+            // and writes the current document tag.
+            rotate_snapshot_at(&path).expect("rotate old snapshot");
+            let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
+            assert_eq!(
+                doc.get("schema").and_then(Json::as_str),
+                Some(SCHEMA_SNAPSHOT)
+            );
+            assert_eq!(
+                doc.get("previous").and_then(|p| p.get("table2")),
+                seed.get("experiments").and_then(|e| e.get("table2"))
+            );
+
+            // A fresh measurement computes its speedup against the old
+            // baseline (readers only touch the fields every schema
+            // shares) and writes no lane count.
+            record_snapshot_at(&path, "table2", fast).expect("record v3");
+            let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
+            let entry = doc
+                .get("experiments")
+                .and_then(|e| e.get("table2"))
+                .unwrap();
+            assert!(entry.get("engine_threads").is_none());
+            assert_eq!(entry.get("host_cores").and_then(Json::as_f64), Some(8.0));
+            assert_eq!(
+                doc.get("speedup")
+                    .and_then(|s| s.get("aggregate"))
+                    .and_then(Json::as_f64),
+                Some(2.0)
+            );
+        }
     }
 
     #[test]
@@ -1211,7 +1221,6 @@ mod tests {
         let m = SelfMeasurement {
             wall_s: 1.0,
             threads: 4,
-            engine_threads: 2,
             host_cores: 8,
             jobs: 2,
             sim_cycles: 1000,

@@ -83,12 +83,6 @@ pub struct SoakConfig {
     pub watchdog: u64,
     /// The fault-storm schedule.
     pub storm: StormSchedule,
-    /// Intra-run parallel planning lanes per slice engine (0 = resolve
-    /// from `SVC_ENGINE_THREADS` at engine construction). A host
-    /// execution detail: slice results are byte-identical at any value,
-    /// so it is deliberately excluded from checkpoint payloads — a
-    /// resumed soak may run at a different thread count.
-    pub engine_threads: usize,
 }
 
 impl Default for SoakConfig {
@@ -105,7 +99,6 @@ impl Default for SoakConfig {
             sample_window: 256,
             watchdog: 256,
             storm: StormSchedule::default(),
-            engine_threads: 0,
         }
     }
 }
@@ -151,16 +144,6 @@ pub struct SoakState {
     pub ff_jumps: u64,
     /// Simulated cycles skipped by those jumps.
     pub ff_skipped_cycles: u64,
-    /// Planning lanes the most recent slice engine ran with. Host
-    /// telemetry: excluded from [`SoakState::metrics`], `soak_doc` and
-    /// checkpoints, so soak artifacts stay thread-count-independent.
-    pub engine_threads: u64,
-    /// Cumulative parallel planning barriers across slice engines (this
-    /// process only — resets to 0 on resume, like wall-clock data).
-    pub engine_epoch_barriers: u64,
-    /// Cumulative wall nanoseconds spent inside parallel plan/merge
-    /// epochs (this process only — resets to 0 on resume).
-    pub engine_plan_nanos: u64,
     /// Dispatch-to-commit latency of committed tasks (cycles).
     pub task_latency: Histogram,
     /// Tasks torn down per squash event.
@@ -203,9 +186,6 @@ impl SoakState {
             intervals_dropped: 0,
             ff_jumps: 0,
             ff_skipped_cycles: 0,
-            engine_threads: 0,
-            engine_epoch_barriers: 0,
-            engine_plan_nanos: 0,
             task_latency: Histogram::new(64, 64),
             squash_depth: Histogram::new(1, 8),
             bus_wait: Histogram::new(256, 32),
@@ -395,7 +375,6 @@ fn run_slice(cfg: &SoakConfig, state: &mut SoakState, tick: u64, density: f64, s
         num_pus: cfg.pus,
         max_instructions: cfg.slice_budget,
         seed,
-        engine_threads: cfg.engine_threads,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(engine_cfg, system);
@@ -409,10 +388,6 @@ fn run_slice(cfg: &SoakConfig, state: &mut SoakState, tick: u64, density: f64, s
 
     let report: RunReport = engine.run(&source);
     let violations = engine.violations().len() as u64;
-    let (par_threads, par_barriers, par_plan_nanos) = engine.par_stats();
-    state.engine_threads = par_threads;
-    state.engine_epoch_barriers += par_barriers;
-    state.engine_plan_nanos += par_plan_nanos;
 
     // Fold the slice into cumulative state.
     state.ticks += 1;
@@ -773,23 +748,6 @@ mod tests {
             soak_doc(&rcfg, &done).render(),
             want,
             "resumed soak diverged from uninterrupted soak"
-        );
-    }
-
-    #[test]
-    fn soak_doc_independent_of_engine_threads() {
-        let cfg = SoakConfig { ticks: 4, ..tiny() };
-        let want = soak_doc(&cfg, &run_soak(&cfg, |_| true)).render();
-        let par = SoakConfig {
-            engine_threads: 8,
-            ..cfg
-        };
-        let state = run_soak(&par, |_| true);
-        assert_eq!(state.engine_threads, 8, "slice engines saw the config");
-        assert_eq!(
-            soak_doc(&par, &state).render(),
-            want,
-            "soak artifacts must not depend on the planning thread count"
         );
     }
 

@@ -59,7 +59,6 @@ mod ideal;
 mod inspect;
 mod line;
 mod mask;
-mod plan;
 mod snapshot;
 mod system;
 mod vcl;

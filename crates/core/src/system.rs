@@ -3,86 +3,21 @@
 
 use smallvec::SmallVec;
 use svc_mem::{Backing, Bus, CacheArray, MshrFile, WayRef, WritebackBuffer};
-use svc_sim::epoch::EpochPool;
 use svc_sim::fault::{FaultEvent, FaultSite, Faults};
 use svc_sim::profile::{AccessProfile, Profiler};
 use svc_sim::trace::{AccessOp, BusOp, Category, LineBits, TraceEvent, Tracer, VolOp};
 use svc_types::{
     AccessError, Addr, Cycle, DataSource, InvariantViolation, LineId, LoadOutcome, MemGauges,
-    MemStats, ModelCheckable, Mutation, PlanToken, PlannedOp, PuId, StateHasher, StoreOutcome,
-    TaskAssignments, TaskId, VersionedMemory, Violation, Word,
+    MemStats, ModelCheckable, Mutation, PuId, StateHasher, StoreOutcome, TaskAssignments, TaskId,
+    VersionedMemory, Violation, Word,
 };
 
 use crate::config::SvcConfig;
 use crate::line::{LineState, SvcLine};
 use crate::mask::SubMask;
-use crate::plan::{PlanView, ReadMissPlan, Residency, SvcPlan, WriteMissPlan};
 use crate::snapshot::LineSnapshot;
-use crate::vcl::{ReadPlan, SupplySource, Vcl, WbackPlan, WritePlan};
+use crate::vcl::{ReadPlan, SupplySource, Vcl, WritePlan};
 use crate::vol::{order_vol, vol_trace_entries};
-
-/// The state a detached planning epoch owns: the caches, the assignment
-/// table, and the (copyable) VCL and configuration. Built by
-/// [`SvcSystem::plan_batch`] via ownership swap, threaded through the
-/// worker pool behind an `Arc`, and swapped back at the barrier.
-pub(crate) struct PlanCtx {
-    caches: Vec<CacheArray<SvcLine>>,
-    assignments: TaskAssignments,
-    vcl: Vcl,
-    config: SvcConfig,
-}
-
-impl PlanCtx {
-    fn view(&self) -> PlanView<'_> {
-        PlanView {
-            caches: &self.caches,
-            assignments: &self.assignments,
-            vcl: self.vcl,
-            config: &self.config,
-        }
-    }
-}
-
-/// Plans one predicted access against a view of the current state.
-fn plan_token(view: &PlanView<'_>, pu: PuId, op: PlannedOp) -> PlanToken {
-    let plan = match op {
-        PlannedOp::Load(addr) => view.plan_load(pu, addr),
-        PlannedOp::Store(addr, _) => view.plan_store(pu, addr),
-    };
-    let g = view.config.geometry;
-    PlanToken {
-        set: g.set_index(g.line_of(op.addr())),
-        payload: Box::new(plan),
-    }
-}
-
-/// The worker-pool job function: one token per predicted access.
-fn plan_job(ctx: &PlanCtx, job: &(PuId, PlannedOp)) -> PlanToken {
-    plan_token(&ctx.view(), job.0, job.1)
-}
-
-/// Lazily-created planning pool. Explicit `Debug`/`Clone` because thread
-/// handles are neither: a cloned system starts with a fresh (empty)
-/// planner, which only costs re-spawning workers on its next
-/// `plan_batch` — planning state never affects simulation results.
-#[derive(Default)]
-struct Planner {
-    pool: Option<EpochPool<PlanCtx, (PuId, PlannedOp), PlanToken>>,
-}
-
-impl std::fmt::Debug for Planner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Planner")
-            .field("workers", &self.pool.as_ref().map(|p| p.workers()))
-            .finish()
-    }
-}
-
-impl Clone for Planner {
-    fn clone(&self) -> Planner {
-        Planner { pool: None }
-    }
-}
 
 /// Data gathered for one fill, kept inline for paper-sized lines: per
 /// filled sub-block `(index, from_cache)` metadata plus a flat word
@@ -133,7 +68,6 @@ pub struct SvcSystem {
     tracer: Tracer,
     faults: Faults,
     profiler: Profiler,
-    planner: Planner,
 }
 
 impl SvcSystem {
@@ -173,19 +107,7 @@ impl SvcSystem {
             tracer: Tracer::disabled(),
             faults: Faults::disabled(),
             profiler: Profiler::disabled(),
-            planner: Planner::default(),
             config,
-        }
-    }
-
-    /// A read-only planning view of the live system (shared with the
-    /// detached [`PlanCtx`] the worker pool uses).
-    fn plan_view(&self) -> PlanView<'_> {
-        PlanView {
-            caches: &self.caches,
-            assignments: &self.assignments,
-            vcl: self.vcl,
-            config: &self.config,
         }
     }
 
@@ -378,7 +300,39 @@ impl SvcSystem {
     // -----------------------------------------------------------------
 
     pub(crate) fn snapshots(&self, line: LineId) -> SmallVec<LineSnapshot, 8> {
-        self.plan_view().snapshots(line)
+        (0..self.config.num_pus)
+            .map(|i| {
+                let pu = PuId(i);
+                let task = self.assignments.task_of(pu);
+                match self.caches[i].find(line) {
+                    Some(r) => {
+                        let l = self.caches[i].slot(r);
+                        LineSnapshot {
+                            pu,
+                            task,
+                            valid: l.valid,
+                            store: l.store,
+                            load: l.load,
+                            committed: l.committed,
+                            stale: l.stale,
+                            arch: l.arch,
+                            next: l.next,
+                        }
+                    }
+                    None => LineSnapshot {
+                        pu,
+                        task,
+                        valid: SubMask::EMPTY,
+                        store: SubMask::EMPTY,
+                        load: SubMask::EMPTY,
+                        committed: false,
+                        stale: false,
+                        arch: false,
+                        next: None,
+                    },
+                }
+            })
+            .collect()
     }
 
     /// Words of sub-block `j` of `pu`'s copy of `line`.
@@ -644,46 +598,10 @@ impl SvcSystem {
         Ok((r, done))
     }
 
-    /// Applies a precomputed [`Residency`] decision: the redeemed-plan
-    /// counterpart of [`ensure_resident`](Self::ensure_resident)'s apply
-    /// half. Only reachable with faults inactive (plans are never
-    /// produced otherwise), so the ForcedEvict hook has no arm here, and
-    /// only for resident lines or clean victims (dirty victims fall back
-    /// to the inline path), so there is no wback arm either.
-    fn apply_residency(&mut self, pu: PuId, line: LineId, residency: Residency) -> WayRef {
-        match residency {
-            Residency::Resident(r) => {
-                debug_assert_eq!(self.caches[pu.index()].find(line), Some(r));
-                r
-            }
-            Residency::Claim(r) => {
-                debug_assert_eq!(self.caches[pu.index()].find(line), None);
-                debug_assert!(matches!(
-                    self.caches[pu.index()].slot(r).state(),
-                    LineState::Invalid | LineState::PassiveClean | LineState::ActiveClean
-                ));
-                let wpl = self.config.geometry.words_per_line();
-                let slot = self.caches[pu.index()].slot_mut(r);
-                slot.invalidate();
-                if slot.data.len() != wpl {
-                    slot.data = vec![Word::ZERO; wpl];
-                }
-                slot.line = Some(line);
-                r
-            }
-        }
-    }
-
     /// Executes a BusWback transaction for `pu`'s dirty copy of `line`.
     fn do_wback(&mut self, pu: PuId, line: LineId, now: Cycle) -> Cycle {
         let snaps = self.snapshots(line);
         let plan = self.vcl.plan_wback(&snaps, pu);
-        self.do_wback_with(pu, line, &plan, now)
-    }
-
-    /// Applies an already-computed BusWback plan (shared by the inline
-    /// path above and the precomputed [`Residency::Claim`] path).
-    fn do_wback_with(&mut self, pu: PuId, line: LineId, plan: &WbackPlan, now: Cycle) -> Cycle {
         self.tracer.emit(now, Category::Vcl, || {
             TraceEvent::VclPlan(plan.trace_summary(pu, self.assignments.task_of(pu), line))
         });
@@ -855,7 +773,9 @@ impl SvcSystem {
 
     /// Head task's id, if any task is running.
     fn head_task(&self) -> Option<TaskId> {
-        self.plan_view().head_task()
+        self.assignments
+            .head()
+            .and_then(|pu| self.assignments.task_of(pu))
     }
 
     // -----------------------------------------------------------------
@@ -952,21 +872,37 @@ impl SvcSystem {
     /// Caches eligible to snarf a fill of `line`: no copy, a free way, and
     /// an assigned task.
     fn snarf_candidates(&self, line: LineId, exclude: PuId) -> SmallVec<(PuId, TaskId), 8> {
-        self.plan_view().snarf_candidates(line, exclude)
+        if !self.config.snarfing {
+            return SmallVec::new();
+        }
+        (0..self.config.num_pus)
+            .filter_map(|i| {
+                let q = PuId(i);
+                if q == exclude || self.caches[i].find(line).is_some() {
+                    return None;
+                }
+                let task = self.assignments.task_of(q)?;
+                let r = self.caches[i].victim_way(line);
+                if self.caches[i].slot(r).state() == LineState::Invalid {
+                    Some((q, task))
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+}
+
+impl VersionedMemory for SvcSystem {
+    fn num_pus(&self) -> usize {
+        self.config.num_pus
     }
 
-    /// [`VersionedMemory::load`]'s body, shared by the plain entry point
-    /// (`pre = None`) and the plan-redeeming one. A `pre` produced by
-    /// `plan_batch` against exactly this state replaces the residency
-    /// decision and the VCL planning on the miss path; every mutation,
-    /// timing step and trace emission is the same code either way.
-    fn load_impl(
-        &mut self,
-        pu: PuId,
-        addr: Addr,
-        now: Cycle,
-        pre: Option<ReadMissPlan>,
-    ) -> Result<LoadOutcome, AccessError> {
+    fn assign(&mut self, pu: PuId, task: TaskId) {
+        self.assignments.assign(pu, task);
+    }
+
+    fn load(&mut self, pu: PuId, addr: Addr, now: Cycle) -> Result<LoadOutcome, AccessError> {
         let task = self
             .assignments
             .task_of(pu)
@@ -1045,15 +981,8 @@ impl SvcSystem {
             }
         }
 
-        // Miss: BusRead. A redeemed `pre` supplies the residency decision
-        // and the VCL plan; the engine's conflict guard guarantees it was
-        // computed against exactly this state, so both routes produce
-        // identical values — the debug asserts below re-derive and
-        // compare every precomputed product.
-        let (slot, evict_done) = match pre {
-            Some(ref p) => (self.apply_residency(pu, line, p.residency.clone()), now),
-            None => self.ensure_resident(pu, line, now)?,
-        };
+        // Miss: BusRead.
+        let (slot, evict_done) = self.ensure_resident(pu, line, now)?;
         let l = self.caches[pu.index()].slot(slot);
         // A partially-valid *active* line keeps its sub-blocks; anything
         // else (fresh slot, committed or stale line) refills fully.
@@ -1063,30 +992,11 @@ impl SvcSystem {
         } else {
             SubMask::all(g.subblocks_per_line()).minus(l.valid)
         };
-        let plan = match pre {
-            Some(p) => {
-                debug_assert_eq!(p.fresh, fresh);
-                debug_assert_eq!(p.fill_mask, fill_mask);
-                debug_assert_eq!(
-                    p.plan,
-                    self.vcl.plan_read(
-                        &self.snapshots(line),
-                        pu,
-                        task,
-                        self.head_task(),
-                        fill_mask,
-                        &self.snarf_candidates(line, pu),
-                    )
-                );
-                p.plan
-            }
-            None => {
-                let snaps = self.snapshots(line);
-                let candidates = self.snarf_candidates(line, pu);
-                self.vcl
-                    .plan_read(&snaps, pu, task, self.head_task(), fill_mask, &candidates)
-            }
-        };
+        let snaps = self.snapshots(line);
+        let candidates = self.snarf_candidates(line, pu);
+        let plan = self
+            .vcl
+            .plan_read(&snaps, pu, task, self.head_task(), fill_mask, &candidates);
         self.tracer.emit(now, Category::Vcl, || {
             TraceEvent::VclPlan(plan.trace_summary(pu, Some(task), line))
         });
@@ -1171,15 +1081,12 @@ impl SvcSystem {
         })
     }
 
-    /// [`VersionedMemory::store`]'s body; see [`SvcSystem::load_impl`]
-    /// for the `pre` contract.
-    fn store_impl(
+    fn store(
         &mut self,
         pu: PuId,
         addr: Addr,
         value: Word,
         now: Cycle,
-        pre: Option<WriteMissPlan>,
     ) -> Result<StoreOutcome, AccessError> {
         let task = self
             .assignments
@@ -1284,13 +1191,8 @@ impl SvcSystem {
             }
         }
 
-        // Miss: BusWrite with the store mask (§3.7). See `load_impl` for
-        // the redeemed-`pre` contract; the debug asserts re-derive and
-        // compare every precomputed product.
-        let (slot, evict_done) = match pre {
-            Some(ref p) => (self.apply_residency(pu, line, p.residency.clone()), now),
-            None => self.ensure_resident(pu, line, now)?,
-        };
+        // Miss: BusWrite with the store mask (§3.7).
+        let (slot, evict_done) = self.ensure_resident(pu, line, now)?;
         let l = self.caches[pu.index()].slot(slot);
         let fresh = l.line != Some(line) || l.committed || l.valid.is_empty();
         let store_mask = SubMask::single(j);
@@ -1302,22 +1204,8 @@ impl SvcSystem {
         if g.words_per_subblock() == 1 {
             fill_mask = fill_mask.minus(store_mask);
         }
-        let plan = match pre {
-            Some(p) => {
-                debug_assert_eq!(p.fresh, fresh);
-                debug_assert_eq!(p.fill_mask, fill_mask);
-                debug_assert_eq!(
-                    p.plan,
-                    self.vcl
-                        .plan_write(&self.snapshots(line), pu, task, store_mask, fill_mask)
-                );
-                p.plan
-            }
-            None => {
-                let snaps = self.snapshots(line);
-                self.vcl.plan_write(&snaps, pu, task, store_mask, fill_mask)
-            }
-        };
+        let snaps = self.snapshots(line);
+        let plan = self.vcl.plan_write(&snaps, pu, task, store_mask, fill_mask);
         self.tracer.emit(now, Category::Vcl, || {
             TraceEvent::VclPlan(plan.trace_summary(pu, Some(task), line))
         });
@@ -1377,88 +1265,6 @@ impl SvcSystem {
                 });
         }
         Ok(StoreOutcome { done_at, violation })
-    }
-}
-
-impl VersionedMemory for SvcSystem {
-    fn num_pus(&self) -> usize {
-        self.config.num_pus
-    }
-
-    fn assign(&mut self, pu: PuId, task: TaskId) {
-        self.assignments.assign(pu, task);
-    }
-
-    fn plan_batch(&mut self, threads: usize, jobs: &[(PuId, PlannedOp)]) -> Option<Vec<PlanToken>> {
-        // Planning pays off only when several PUs miss in the same cycle,
-        // and is disabled under fault injection: the inline path draws
-        // from per-site fault streams that planning must not perturb.
-        if threads <= 1 || jobs.len() < 2 || self.faults.is_active() {
-            return None;
-        }
-        let ctx = PlanCtx {
-            caches: std::mem::take(&mut self.caches),
-            // Placeholder only; `TaskAssignments::new` needs >= 1 PU.
-            assignments: std::mem::replace(&mut self.assignments, TaskAssignments::new(1)),
-            vcl: self.vcl,
-            config: self.config,
-        };
-        let pool = self
-            .planner
-            .pool
-            .get_or_insert_with(|| EpochPool::new(threads - 1, plan_job));
-        let (ctx, tokens) = pool.run_epoch(ctx, jobs.to_vec());
-        self.caches = ctx.caches;
-        self.assignments = ctx.assignments;
-        Some(tokens)
-    }
-
-    fn conflict_set(&self, addr: Addr) -> usize {
-        let g = self.config.geometry;
-        g.set_index(g.line_of(addr))
-    }
-
-    fn load(&mut self, pu: PuId, addr: Addr, now: Cycle) -> Result<LoadOutcome, AccessError> {
-        self.load_impl(pu, addr, now, None)
-    }
-
-    fn load_planned(
-        &mut self,
-        pu: PuId,
-        addr: Addr,
-        now: Cycle,
-        plan: PlanToken,
-    ) -> Result<LoadOutcome, AccessError> {
-        let pre = match plan.payload.downcast::<SvcPlan>().map(|b| *b) {
-            Ok(SvcPlan::ReadMiss(p)) => Some(p),
-            _ => None, // Fallback or mismatched kind: recompute inline.
-        };
-        self.load_impl(pu, addr, now, pre)
-    }
-
-    fn store(
-        &mut self,
-        pu: PuId,
-        addr: Addr,
-        value: Word,
-        now: Cycle,
-    ) -> Result<StoreOutcome, AccessError> {
-        self.store_impl(pu, addr, value, now, None)
-    }
-
-    fn store_planned(
-        &mut self,
-        pu: PuId,
-        addr: Addr,
-        value: Word,
-        now: Cycle,
-        plan: PlanToken,
-    ) -> Result<StoreOutcome, AccessError> {
-        let pre = match plan.payload.downcast::<SvcPlan>().map(|b| *b) {
-            Ok(SvcPlan::WriteMiss(p)) => Some(p),
-            _ => None, // Fallback or mismatched kind: recompute inline.
-        };
-        self.store_impl(pu, addr, value, now, pre)
     }
 
     fn commit(&mut self, pu: PuId, now: Cycle) -> Cycle {

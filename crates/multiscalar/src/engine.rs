@@ -8,8 +8,7 @@ use svc_sim::rng::Xoshiro256;
 use svc_sim::stats::Histogram;
 use svc_sim::trace::{Category, TraceEvent, Tracer};
 use svc_types::{
-    Addr, Cycle, InvariantViolation, MemGauges, MemStats, PlanToken, PlannedOp, PuId, TaskId,
-    VersionedMemory, Word,
+    Addr, Cycle, InvariantViolation, MemGauges, MemStats, PuId, TaskId, VersionedMemory, Word,
 };
 
 use crate::predictor::PredictorModel;
@@ -45,11 +44,6 @@ pub struct EngineConfig {
     pub garbage_addr_space: u64,
     /// Seed for wrong-path work generation.
     pub seed: u64,
-    /// Lanes for deterministic intra-cycle access planning (the parallel
-    /// engine). `0` resolves from `SVC_ENGINE_THREADS` at engine
-    /// construction; `1` is the plain sequential engine. Every artifact
-    /// is byte-identical at any value — only wall-clock changes.
-    pub engine_threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -65,19 +59,8 @@ impl Default for EngineConfig {
             max_cycles: 500_000_000,
             garbage_addr_space: 4096,
             seed: 0,
-            engine_threads: 0,
         }
     }
-}
-
-/// Resolves the parallel-engine lane count from `SVC_ENGINE_THREADS`
-/// (unset, unparsable or `0` all mean 1 lane = sequential).
-pub fn engine_threads_from_env() -> usize {
-    std::env::var("SVC_ENGINE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// The outcome of one [`Engine::run`].
@@ -328,29 +311,6 @@ pub struct Engine<M> {
     peek_pos: u64,
     peek_task: Option<Vec<Instr>>,
     peek_valid: bool,
-    // -- parallel planning --------------------------------------------
-    // None of this is simulated state: plans only short-circuit work the
-    // memory system would redo identically, every slot is dead by the
-    // next cycle boundary (so nothing here is checkpointed), and the
-    // counters are host-side telemetry.
-    /// Resolved lane count (1 = sequential; >1 shards per-cycle access
-    /// planning over `lanes - 1` worker threads plus the coordinator).
-    par_threads: usize,
-    /// One pending `(predicted op, plan)` slot per PU.
-    plan_slots: Vec<Option<(PlannedOp, PlanToken)>>,
-    /// Conflict sets touched by memory ops already issued this cycle;
-    /// a plan whose set appears here is stale and is not redeemed.
-    plan_sets: SmallVec<usize, 8>,
-    /// `squashes` at planning time; any squash since invalidates all
-    /// plans (squash teardown mutates arbitrary sets).
-    plan_mark: u64,
-    /// Whether `plan_slots` holds plans for the current cycle.
-    plan_active: bool,
-    /// Planning epochs run (telemetry).
-    par_barriers: u64,
-    /// Host nanoseconds spent inside planning epochs (telemetry; never
-    /// feeds simulated state or artifacts).
-    par_plan_nanos: u64,
 }
 
 /// Why a squash happened, for the report's breakdown.
@@ -406,16 +366,6 @@ impl<M: VersionedMemory> Engine<M> {
             peek_pos: 0,
             peek_task: None,
             peek_valid: false,
-            par_threads: match config.engine_threads {
-                0 => engine_threads_from_env(),
-                n => n,
-            },
-            plan_slots: (0..config.num_pus).map(|_| None).collect(),
-            plan_sets: SmallVec::new(),
-            plan_mark: 0,
-            plan_active: false,
-            par_barriers: 0,
-            par_plan_nanos: 0,
             config,
         }
     }
@@ -619,12 +569,6 @@ impl<M: VersionedMemory> Engine<M> {
             }
 
             // 2. Execute: PUs issue in program order (oldest task first).
-            //    With more than one engine lane, the cycle's predicted
-            //    accesses are planned in parallel first; the in-order
-            //    loop below redeems those plans (or falls back inline),
-            //    so the merge order stays canonical and every artifact
-            //    is byte-identical to the sequential engine.
-            self.prepare_plans(now);
             let order = self.pu_program_order();
             for pu in order {
                 if self.pus[pu].pos.is_none() {
@@ -643,13 +587,6 @@ impl<M: VersionedMemory> Engine<M> {
                     continue;
                 }
                 progressed |= self.issue(pu, now);
-            }
-            // Plans never outlive their cycle.
-            if self.plan_active {
-                for s in self.plan_slots.iter_mut() {
-                    *s = None;
-                }
-                self.plan_active = false;
             }
 
             // 3. Commit: the head task, if finished and correctly
@@ -755,106 +692,6 @@ impl<M: VersionedMemory> Engine<M> {
         }
     }
 
-    /// Parallel-planning telemetry: `(lanes, epoch_barriers, plan_nanos)`.
-    /// Host-side observability only; never feeds simulated state.
-    pub fn par_stats(&self) -> (u64, u64, u64) {
-        (
-            self.par_threads as u64,
-            self.par_barriers,
-            self.par_plan_nanos,
-        )
-    }
-
-    /// Predicts the first memory operation `pu` would issue this cycle —
-    /// a read-only replay of [`issue`](Self::issue)'s walk up to its
-    /// first `Load`/`Store`. `None` when the PU is idle, stalled, about
-    /// to be torn down, or issues only compute this cycle. Safe to be
-    /// wrong in either direction: an unredeemed plan is dropped, an
-    /// unplanned access takes the inline path.
-    fn predict_mem_op(&self, pu: usize, now: Cycle) -> Option<PlannedOp> {
-        let p = &self.pus[pu];
-        if p.pos.is_none() || p.done || now < p.ready_at {
-            return None;
-        }
-        if p.wrong && now >= p.detect_at {
-            return None; // misprediction detection squashes it instead
-        }
-        let mut issued = 0;
-        let mut pc = p.pc;
-        while issued < self.config.issue_width {
-            match *p.instrs.get(pc)? {
-                Instr::Compute(c) => {
-                    pc += 1;
-                    issued += 1;
-                    if c > 0 {
-                        return None; // busy past this cycle before any memory op
-                    }
-                }
-                Instr::Load(addr) => {
-                    return (now >= p.port_free).then_some(PlannedOp::Load(addr));
-                }
-                Instr::Store(addr, value) => {
-                    return (now >= p.port_free).then_some(PlannedOp::Store(addr, value));
-                }
-            }
-        }
-        None
-    }
-
-    /// Precomputes access plans for every PU predicted to touch memory
-    /// this cycle, sharding the work over the worker pool. Runs between
-    /// dispatch and the issue phase; [`take_plan`](Self::take_plan)
-    /// redeems the results under the conflict guard.
-    fn prepare_plans(&mut self, now: Cycle) {
-        self.plan_active = false;
-        if self.par_threads <= 1 {
-            return;
-        }
-        let jobs: Vec<(PuId, PlannedOp)> = (0..self.pus.len())
-            .filter_map(|pu| Some((PuId(pu), self.predict_mem_op(pu, now)?)))
-            .collect();
-        let t0 = std::time::Instant::now();
-        let Some(tokens) = self.mem.plan_batch(self.par_threads, &jobs) else {
-            return;
-        };
-        self.par_plan_nanos += t0.elapsed().as_nanos() as u64;
-        self.par_barriers += 1;
-        for s in self.plan_slots.iter_mut() {
-            *s = None;
-        }
-        for ((pu, op), token) in jobs.into_iter().zip(tokens) {
-            self.plan_slots[pu.index()] = Some((op, token));
-        }
-        self.plan_sets.clear();
-        self.plan_mark = self.squashes;
-        self.plan_active = true;
-    }
-
-    /// Redeems `pu`'s plan if it is still sound: planned in this cycle,
-    /// no squash since planning, the op matches exactly, and no earlier
-    /// memory op this cycle touched the plan's conflict set.
-    fn take_plan(&mut self, pu: usize, op: PlannedOp) -> Option<PlanToken> {
-        if !self.plan_active || self.plan_mark != self.squashes {
-            return None;
-        }
-        let (planned, token) = self.plan_slots[pu].take()?;
-        if planned != op || self.plan_sets.contains(&token.set) {
-            return None;
-        }
-        Some(token)
-    }
-
-    /// Records a just-issued memory op's conflict set, staling any
-    /// not-yet-redeemed plan that depends on the same set.
-    fn note_mem_op(&mut self, addr: Addr) {
-        if self.plan_active {
-            let set = self.mem.conflict_set(addr);
-            if !self.plan_sets.contains(&set) {
-                self.plan_sets.push(set);
-            }
-        }
-    }
-
     /// Issues up to `issue_width` instructions on `pu` at `now`. Returns
     /// whether anything happened.
     fn issue(&mut self, pu: usize, now: Cycle) -> bool {
@@ -882,12 +719,7 @@ impl<M: VersionedMemory> Engine<M> {
                             .on_port_block(PuId(pu), now, self.pus[pu].port_free);
                         break;
                     }
-                    let result = match self.take_plan(pu, PlannedOp::Load(addr)) {
-                        Some(token) => self.mem.load_planned(PuId(pu), addr, now, token),
-                        None => self.mem.load(PuId(pu), addr, now),
-                    };
-                    self.note_mem_op(addr);
-                    match result {
+                    match self.mem.load(PuId(pu), addr, now) {
                         Ok(out) => {
                             let p = &self.pus[pu];
                             // Deterministic per-load dependence draw: a
@@ -917,12 +749,7 @@ impl<M: VersionedMemory> Engine<M> {
                             .on_port_block(PuId(pu), now, self.pus[pu].port_free);
                         break;
                     }
-                    let result = match self.take_plan(pu, PlannedOp::Store(addr, value)) {
-                        Some(token) => self.mem.store_planned(PuId(pu), addr, value, now, token),
-                        None => self.mem.store(PuId(pu), addr, value, now),
-                    };
-                    self.note_mem_op(addr);
-                    match result {
+                    match self.mem.store(PuId(pu), addr, value, now) {
                         Ok(out) => {
                             self.pus[pu].pc += 1;
                             self.profiler.on_store(PuId(pu));

@@ -52,8 +52,6 @@ mod engine;
 mod predictor;
 mod task;
 
-pub use engine::{
-    engine_threads_from_env, Engine, EngineConfig, EpochSink, EpochSnapshot, RunReport,
-};
+pub use engine::{Engine, EngineConfig, EpochSink, EpochSnapshot, RunReport};
 pub use predictor::PredictorModel;
 pub use task::{Instr, TaskSource, VecTaskSource};

@@ -23,9 +23,6 @@
 //! * [`profile`] — the cycle-accounting profiler: per-PU stall
 //!   attribution into conservation-checked buckets, wasted-work
 //!   metering, and an interval time-series sampler;
-//! * [`epoch`] — a deterministic epoch-barrier worker pool: per-epoch
-//!   job batches fan out over persistent threads and come back in job
-//!   order, so results are independent of thread count;
 //! * [`checkpoint`] — crash-safe checkpoint files: a versioned,
 //!   checksummed container, atomic tmp+fsync+rename writes, and a bounded
 //!   on-disk ring with newest-valid recovery;
@@ -48,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod epoch;
 pub mod fault;
 pub mod forensics;
 pub mod metrics;

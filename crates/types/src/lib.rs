@@ -56,7 +56,6 @@ pub use mutate::Mutation;
 pub use stats::MemStats;
 pub use time::Cycle;
 pub use versioned::{
-    AccessError, DataSource, LoadOutcome, MemGauges, PlanToken, PlannedOp, StoreOutcome,
-    VersionedMemory, Violation,
+    AccessError, DataSource, LoadOutcome, MemGauges, StoreOutcome, VersionedMemory, Violation,
 };
 pub use word::Word;

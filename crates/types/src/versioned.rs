@@ -115,52 +115,6 @@ pub struct MemGauges {
     pub live_versions: u64,
 }
 
-/// A memory operation the execution engine predicts it will issue this
-/// cycle, handed to [`VersionedMemory::plan_batch`] so the memory system
-/// can precompute its pure decision products on worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannedOp {
-    /// A load of `addr`.
-    Load(Addr),
-    /// A store of the value to `addr`.
-    Store(Addr, Word),
-}
-
-impl PlannedOp {
-    /// The address the operation touches.
-    pub fn addr(&self) -> Addr {
-        match *self {
-            PlannedOp::Load(a) | PlannedOp::Store(a, _) => a,
-        }
-    }
-}
-
-/// An opaque precomputed plan for one [`PlannedOp`], returned by
-/// [`VersionedMemory::plan_batch`] and redeemed through
-/// [`VersionedMemory::load_planned`] / [`VersionedMemory::store_planned`].
-///
-/// The `set` index is the conflict-granularity key: the engine refuses to
-/// redeem a token whose set has already been touched by an earlier memory
-/// operation in the same cycle, and falls back to the plain `load`/`store`
-/// path instead. Redeeming a token is therefore always *semantically
-/// identical* to not having planned at all — planning only moves pure
-/// computation off the apply path.
-pub struct PlanToken {
-    /// Conflict-set index of the planned address (see
-    /// [`VersionedMemory::conflict_set`]).
-    pub set: usize,
-    /// The memory system's private plan payload.
-    pub payload: Box<dyn core::any::Any + Send>,
-}
-
-impl fmt::Debug for PlanToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlanToken")
-            .field("set", &self.set)
-            .finish_non_exhaustive()
-    }
-}
-
 /// A memory system that supports *speculative versioning*: buffering
 /// multiple uncommitted versions per location, supplying loads with the
 /// closest previous version, detecting memory-dependence violations, and
@@ -214,61 +168,6 @@ pub trait VersionedMemory {
         value: Word,
         now: Cycle,
     ) -> Result<StoreOutcome, AccessError>;
-
-    /// Precomputes pure decision products for a batch of predicted memory
-    /// operations, optionally fanning the work out over `threads` threads.
-    /// Purely advisory: a `None` return (the default, used by systems
-    /// without a planner) means the caller issues every operation through
-    /// the plain [`load`](VersionedMemory::load)/
-    /// [`store`](VersionedMemory::store) path. A `Some` return carries one
-    /// [`PlanToken`] per job, in job order; redeeming a token through
-    /// [`load_planned`](VersionedMemory::load_planned) /
-    /// [`store_planned`](VersionedMemory::store_planned) must produce
-    /// *exactly* the outcome, state mutations, and observable events the
-    /// plain path would — planning may only relocate pure computation.
-    fn plan_batch(&mut self, threads: usize, jobs: &[(PuId, PlannedOp)]) -> Option<Vec<PlanToken>> {
-        let _ = (threads, jobs);
-        None
-    }
-
-    /// The conflict-set index of `addr`: two addresses with different
-    /// indices are guaranteed not to share any state a
-    /// [`plan_batch`](VersionedMemory::plan_batch) plan depends on, so a
-    /// plan for one stays valid after an access to the other. The default
-    /// maps everything to set 0 (maximally conservative).
-    fn conflict_set(&self, addr: Addr) -> usize {
-        let _ = addr;
-        0
-    }
-
-    /// [`load`](VersionedMemory::load) with a precomputed plan from
-    /// [`plan_batch`](VersionedMemory::plan_batch). The default drops the
-    /// token and takes the plain path.
-    fn load_planned(
-        &mut self,
-        pu: PuId,
-        addr: Addr,
-        now: Cycle,
-        plan: PlanToken,
-    ) -> Result<LoadOutcome, AccessError> {
-        let _ = plan;
-        self.load(pu, addr, now)
-    }
-
-    /// [`store`](VersionedMemory::store) with a precomputed plan from
-    /// [`plan_batch`](VersionedMemory::plan_batch). The default drops the
-    /// token and takes the plain path.
-    fn store_planned(
-        &mut self,
-        pu: PuId,
-        addr: Addr,
-        value: Word,
-        now: Cycle,
-        plan: PlanToken,
-    ) -> Result<StoreOutcome, AccessError> {
-        let _ = plan;
-        self.store(pu, addr, value, now)
-    }
 
     /// Commits `pu`'s task: its speculative versions become architectural
     /// (paper §2.2.3). Returns the cycle at which the commit completes —

@@ -88,10 +88,6 @@ struct Options {
     budget: u64,
     seed: u64,
     pus: usize,
-    /// Intra-run parallel planning lanes (0 = resolve from
-    /// `SVC_ENGINE_THREADS`, defaulting to sequential). Artifacts are
-    /// byte-identical at any value, so this is never checkpointed.
-    engine_threads: usize,
     json: bool,
     trace: bool,
     trace_filter: String,
@@ -137,7 +133,6 @@ impl Default for Options {
             budget: 200_000,
             seed: 42,
             pus: NUM_PUS,
-            engine_threads: 0,
             json: false,
             trace: false,
             trace_filter: "all".to_string(),
@@ -190,11 +185,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--budget" => o.budget = value()?.parse().map_err(|e| format!("--budget: {e}"))?,
             "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--pus" => o.pus = value()?.parse().map_err(|e| format!("--pus: {e}"))?,
-            "--engine-threads" => {
-                o.engine_threads = value()?
-                    .parse()
-                    .map_err(|e| format!("--engine-threads: {e}"))?;
-            }
             "--json" => o.json = true,
             "--trace" | "-t" => o.trace = true,
             "--trace-filter" => o.trace_filter = value()?,
@@ -355,7 +345,6 @@ fn engine_config(o: &Options, wl: Option<&SyntheticWorkload>) -> EngineConfig {
         num_pus: o.pus,
         max_instructions: o.budget,
         seed: o.seed,
-        engine_threads: o.engine_threads,
         ..EngineConfig::default()
     };
     if let Some(wl) = wl {
@@ -533,7 +522,9 @@ fn probe_writable(path: &std::path::Path) -> Result<(), CliError> {
         _ => std::path::PathBuf::from("."),
     };
     std::fs::create_dir_all(&dir).map_err(|e| CliError::io(dir.display(), e))?;
-    let probe = dir.join(".svc-write-probe");
+    // Per-process name: two invocations sharing a directory must not
+    // replace or delete each other's probe.
+    let probe = dir.join(format!(".svc-write-probe.{}", std::process::id()));
     checkpoint::write_atomic(&probe, b"probe")
         .and_then(|()| std::fs::remove_file(&probe))
         .map_err(|e| CliError::io(dir.display(), e))
@@ -643,9 +634,6 @@ fn resume_run(o: &Options, ckpt_path: &std::path::Path, payload: &[u8]) -> Resul
     o2.checkpoint_every = o.checkpoint_every;
     o2.checkpoint_out = Some(ckpt_path.display().to_string());
     o2.profile_out = o.profile_out.clone();
-    // Thread count is a host detail, never part of the header: a resume
-    // may shard the same run differently and still match byte-for-byte.
-    o2.engine_threads = o.engine_threads;
 
     let (src, name, cfg) = select_source(&o2)?;
     let started = std::time::Instant::now();
@@ -680,9 +668,6 @@ fn resume_soak(o: &Options, given: &std::path::Path, payload: &[u8]) -> Result<(
     if o.ticks > 0 {
         cfg.ticks = o.ticks;
     }
-    // Checkpoints never carry the planning thread count; re-apply the
-    // resuming invocation's choice (0 falls back to SVC_ENGINE_THREADS).
-    cfg.engine_threads = o.engine_threads;
     // Keep checkpointing into the ring we resumed from (or an explicit
     // --checkpoint-dir override).
     let mut o2 = o.clone();
@@ -1119,7 +1104,6 @@ fn run_fault_cell(
         num_pus: o.pus,
         max_instructions: o.budget,
         seed,
-        engine_threads: o.engine_threads,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(engine_cfg, system);
@@ -1153,7 +1137,6 @@ fn run_drill(o: &Options, seed: u64, drill: &str) -> Result<(), CliError> {
         num_pus: o.pus,
         max_instructions: o.budget.min(20_000),
         seed,
-        engine_threads: o.engine_threads,
         ..EngineConfig::default()
     };
     let mut engine = Engine::new(engine_cfg, system);
@@ -1362,7 +1345,6 @@ fn cmd_serve(o: &Options) -> Result<(), CliError> {
         kb: o.kb,
         pus: o.pus,
         storm,
-        engine_threads: o.engine_threads,
         ..soak::SoakConfig::default()
     };
     serve_soak(o, cfg, None)
@@ -1455,25 +1437,6 @@ fn serve_soak(
             }
             if let Ok(mut snap) = shared.lock() {
                 let mut reg = s.metrics();
-                // Engine-parallelism telemetry is injected here (like
-                // the checkpoint gauges below) so it lives only in this
-                // process's exporter copy of the registry — never in
-                // SoakState checkpoints or `results/soak.json`.
-                reg.gauge_with(
-                    "soak.engine",
-                    &[("field", "threads")],
-                    s.engine_threads as f64,
-                );
-                reg.gauge_with(
-                    "soak.engine",
-                    &[("field", "epoch_barriers")],
-                    s.engine_epoch_barriers as f64,
-                );
-                reg.gauge_with(
-                    "soak.engine",
-                    &[("field", "merge_micros")],
-                    (s.engine_plan_nanos / 1_000) as f64,
-                );
                 if let Some((seq, tick)) = last_ckpt {
                     reg.counter("soak.checkpoint_writes", ckpt_writes);
                     reg.gauge_with("soak.checkpoint", &[("field", "seq")], seq as f64);
@@ -1610,18 +1573,14 @@ mod tests {
         assert!(parse(&argv("run --memory weird")).is_err());
         assert!(parse(&argv("run --budget notanumber")).is_err());
         assert!(parse(&argv("run --budget")).is_err());
-    }
-
-    #[test]
-    fn parse_engine_threads_flag() {
-        // Default 0: resolve from SVC_ENGINE_THREADS at engine build.
-        assert_eq!(parse(&argv("run")).unwrap().engine_threads, 0);
-        let o = parse(&argv("run --bench gcc --engine-threads 8")).unwrap();
-        assert_eq!(o.engine_threads, 8);
-        let o = parse(&argv("serve --engine-threads 2")).unwrap();
-        assert_eq!(o.engine_threads, 2);
-        assert!(parse(&argv("run --engine-threads lots")).is_err());
-        assert!(parse(&argv("run --engine-threads")).is_err());
+        // The parallel engine's lane flag is gone: old scripts get a
+        // usage error rather than a silently ignored option.
+        for cmd in ["run", "serve", "resume ckpt"] {
+            assert_eq!(
+                parse(&argv(&format!("{cmd} --engine-threads 2"))).unwrap_err(),
+                "unknown flag \"--engine-threads\""
+            );
+        }
     }
 
     #[test]
