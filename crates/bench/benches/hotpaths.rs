@@ -35,6 +35,30 @@ fn snapshots() -> [LineSnapshot; 4] {
     ]
 }
 
+/// A line held by 64 PUs, the wide-machine worst case: a 48-copy
+/// committed chain threaded through the PUs out of index order (PU `i`
+/// points at `i + 7 mod 48`, PU 0 heads it, PU 41 ends it; PU 3 holds a
+/// committed version), then 16 uncommitted copies whose tasks run
+/// against PU order, the youngest (PU 48) holding a version.
+fn snapshots_64() -> Vec<LineSnapshot> {
+    (0..64)
+        .map(|i| {
+            let committed = i < 48;
+            LineSnapshot {
+                pu: PuId(i),
+                task: Some(TaskId(200 - i as u64)),
+                valid: SubMask(0b1111),
+                store: SubMask(if i == 48 || i == 3 { 0b0001 } else { 0 }),
+                load: SubMask::EMPTY,
+                committed,
+                stale: false,
+                arch: false,
+                next: committed.then(|| PuId((i + 7) % 48)).filter(|_| i != 41),
+            }
+        })
+        .collect()
+}
+
 fn vcl(c: &mut Criterion) {
     let mut g = c.benchmark_group("vcl");
     let vcl = Vcl {
@@ -46,6 +70,7 @@ fn vcl(c: &mut Criterion) {
     };
     let snaps = snapshots();
     let snarf = [(PuId(1), TaskId(5))];
+    let wide = snapshots_64();
 
     g.bench_function("plan_read", |bench| {
         bench.iter(|| {
@@ -56,6 +81,19 @@ fn vcl(c: &mut Criterion) {
                 Some(TaskId(4)),
                 SubMask(0b1100),
                 &snarf,
+            ))
+        })
+    });
+
+    g.bench_function("plan_read_64_holders", |bench| {
+        bench.iter(|| {
+            black_box(vcl.plan_read(
+                black_box(&wide),
+                PuId(5),
+                TaskId(195),
+                Some(TaskId(137)),
+                SubMask(0b1111),
+                &[],
             ))
         })
     });
@@ -79,6 +117,10 @@ fn vol(c: &mut Criterion) {
     let snaps = snapshots();
     g.bench_function("order_vol_splice", |bench| {
         bench.iter(|| black_box(order_vol(black_box(&snaps))))
+    });
+    let wide = snapshots_64();
+    g.bench_function("order_vol_64_holders", |bench| {
+        bench.iter(|| black_box(order_vol(black_box(&wide))))
     });
     g.finish();
 }

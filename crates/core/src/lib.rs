@@ -59,6 +59,7 @@ mod ideal;
 mod inspect;
 mod line;
 mod mask;
+mod presence;
 mod snapshot;
 mod system;
 mod vcl;

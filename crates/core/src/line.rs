@@ -117,10 +117,15 @@ impl SvcLine {
         }
     }
 
-    /// Fully invalidates the line, clearing every bit.
+    /// Fully invalidates the line, clearing every bit and zeroing the
+    /// data words in place (the storage is kept, not reallocated).
     pub fn invalidate(&mut self) {
-        let words = self.data.len();
-        *self = SvcLine::invalid(words);
+        let mut data = core::mem::take(&mut self.data);
+        data.fill(Word::ZERO);
+        *self = SvcLine {
+            data,
+            ..SvcLine::default()
+        };
     }
 
     /// Invalidates the given sub-blocks; fully invalidates the line when no
@@ -229,11 +234,14 @@ mod tests {
         l.stale = true;
         l.arch = true;
         l.next = Some(PuId(2));
+        l.data[2] = Word(7);
+        let storage = l.data.as_ptr();
         l.invalidate();
         assert_eq!(l.state(), LineState::Invalid);
         assert_eq!(l.next, None);
         assert!(!l.stale && !l.arch && !l.committed);
-        assert_eq!(l.data.len(), 4, "data storage is retained");
+        assert_eq!(l.data, vec![Word::ZERO; 4], "data zeroed");
+        assert_eq!(l.data.as_ptr(), storage, "data storage is retained");
     }
 
     #[test]

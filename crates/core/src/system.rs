@@ -1,8 +1,16 @@
 //! The complete SVC memory system: private caches, snooping bus, VCL,
 //! MSHRs, writeback buffers and the next level of memory.
+//!
+//! Every bus request is snooped by every cache, as in the paper, and is
+//! timed as such. On the host, a derived presence index
+//! ([`Presence`]) lists which caches hold a line and which have a free
+//! way in its set, so gathering a snoop's snapshots costs time in the
+//! line's holders, not in the PU count. The index is a host lookup, not
+//! a modelled directory: it is never checkpointed or fingerprinted, and
+//! the watchdog checks it against the caches.
 
 use smallvec::SmallVec;
-use svc_mem::{Backing, Bus, CacheArray, MshrFile, WayRef, WritebackBuffer};
+use svc_mem::{Backing, Bus, CacheArray, MshrFile, Slot, WayRef, WritebackBuffer};
 use svc_sim::fault::{FaultEvent, FaultSite, Faults};
 use svc_sim::profile::{AccessProfile, Profiler};
 use svc_sim::trace::{AccessOp, BusOp, Category, LineBits, TraceEvent, Tracer, VolOp};
@@ -15,9 +23,10 @@ use svc_types::{
 use crate::config::SvcConfig;
 use crate::line::{LineState, SvcLine};
 use crate::mask::SubMask;
+use crate::presence::Presence;
 use crate::snapshot::LineSnapshot;
 use crate::vcl::{ReadPlan, SupplySource, Vcl, WritePlan};
-use crate::vol::{order_vol, vol_trace_entries};
+use crate::vol::{order_vol, vol_indices, vol_trace_entries};
 
 /// Data gathered for one fill, kept inline for paper-sized lines: per
 /// filled sub-block `(index, from_cache)` metadata plus a flat word
@@ -59,6 +68,9 @@ pub struct SvcSystem {
     config: SvcConfig,
     vcl: Vcl,
     caches: Vec<CacheArray<SvcLine>>,
+    /// Derived from `caches`; every change of a slot's held line goes
+    /// through [`SvcSystem::update_slot`], which keeps it exact.
+    presence: Presence,
     bus: Bus,
     backing: Backing,
     mshrs: Vec<MshrFile>,
@@ -91,6 +103,7 @@ impl SvcSystem {
             caches: (0..config.num_pus)
                 .map(|_| CacheArray::new(config.geometry))
                 .collect(),
+            presence: Presence::new(config.num_pus, config.geometry.sets()),
             bus: Bus::pipelined(t.bus_txn_cycles, (t.bus_txn_cycles - 1).max(1)),
             backing: match config.l2 {
                 Some(l2) => Backing::with_l2(l2),
@@ -193,9 +206,12 @@ impl SvcSystem {
         self.caches[pu.index()].iter().map(|l| l.state()).collect()
     }
 
-    /// Snooped snapshots of `line` (for the inspection helpers).
+    /// One snapshot per PU of `line`, holders or not, by probing every
+    /// cache (for the inspection helpers' all-PU display).
     pub(crate) fn snapshots_of(&self, line: LineId) -> Vec<LineSnapshot> {
-        self.snapshots(line).to_vec()
+        (0..self.config.num_pus)
+            .map(|i| self.snapshot(PuId(i), line))
+            .collect()
     }
 
     // -----------------------------------------------------------------
@@ -299,40 +315,73 @@ impl SvcSystem {
     // Snapshots and plan application
     // -----------------------------------------------------------------
 
+    /// What the VCL sees of `line`: one snapshot per holder, in
+    /// increasing PU order. Non-holders contribute nothing to a plan, so
+    /// the presence index skips them.
     pub(crate) fn snapshots(&self, line: LineId) -> SmallVec<LineSnapshot, 8> {
-        (0..self.config.num_pus)
-            .map(|i| {
-                let pu = PuId(i);
-                let task = self.assignments.task_of(pu);
-                match self.caches[i].find(line) {
-                    Some(r) => {
-                        let l = self.caches[i].slot(r);
-                        LineSnapshot {
-                            pu,
-                            task,
-                            valid: l.valid,
-                            store: l.store,
-                            load: l.load,
-                            committed: l.committed,
-                            stale: l.stale,
-                            arch: l.arch,
-                            next: l.next,
-                        }
-                    }
-                    None => LineSnapshot {
-                        pu,
-                        task,
-                        valid: SubMask::EMPTY,
-                        store: SubMask::EMPTY,
-                        load: SubMask::EMPTY,
-                        committed: false,
-                        stale: false,
-                        arch: false,
-                        next: None,
-                    },
-                }
-            })
+        self.presence
+            .holders(line)
+            .map(|pu| self.snapshot(pu, line))
             .collect()
+    }
+
+    /// `pu`'s snapshot of `line` (an all-invalid one if it holds none).
+    fn snapshot(&self, pu: PuId, line: LineId) -> LineSnapshot {
+        let task = self.assignments.task_of(pu);
+        let cache = &self.caches[pu.index()];
+        match cache.find(line) {
+            Some(r) => {
+                let l = cache.slot(r);
+                LineSnapshot {
+                    pu,
+                    task,
+                    valid: l.valid,
+                    store: l.store,
+                    load: l.load,
+                    committed: l.committed,
+                    stale: l.stale,
+                    arch: l.arch,
+                    next: l.next,
+                }
+            }
+            None => LineSnapshot {
+                pu,
+                task,
+                valid: SubMask::EMPTY,
+                store: SubMask::EMPTY,
+                load: SubMask::EMPTY,
+                committed: false,
+                stale: false,
+                arch: false,
+                next: None,
+            },
+        }
+    }
+
+    /// Runs `f` on `pu`'s slot `r`. Every change of a slot's held line
+    /// goes through here, which keeps the presence index exact.
+    fn update_slot<R>(&mut self, pu: PuId, r: WayRef, f: impl FnOnce(&mut SvcLine) -> R) -> R {
+        let cache = &mut self.caches[pu.index()];
+        let slot = cache.slot_mut(r);
+        let before = slot.held_line();
+        let out = f(slot);
+        let after = slot.held_line();
+        if before != after {
+            let free = cache.set_has_free_way(r.0);
+            self.presence.moved(pu, r.0, before, after, free);
+        }
+        out
+    }
+
+    /// Runs `f` on every slot of `pu`'s cache, through
+    /// [`update_slot`](Self::update_slot).
+    fn update_all_slots(&mut self, pu: PuId, mut f: impl FnMut(&mut SvcLine)) {
+        let g = self.config.geometry;
+        for set in 0..g.sets() {
+            for way in 0..g.ways() {
+                self.update_slot(pu, (set, way), &mut f);
+            }
+        }
     }
 
     /// Words of sub-block `j` of `pu`'s copy of `line`.
@@ -398,30 +447,30 @@ impl SvcSystem {
     ) {
         let w = self.config.geometry.words_per_subblock();
         let wpl = self.config.geometry.words_per_line();
-        let cache = &mut self.caches[pu.index()];
-        let l = cache.slot_mut(slot);
-        if fresh {
-            *l = SvcLine::invalid(wpl);
-        }
-        if l.data.len() != wpl {
-            l.data = vec![Word::ZERO; wpl];
-        }
-        let was_arch = l.arch || !l.is_valid();
-        l.line = Some(line);
-        for (j, words, _) in data.iter() {
-            for (k, word) in words.iter().enumerate() {
-                l.data[j * w + k] = *word;
+        self.update_slot(pu, slot, |l| {
+            if fresh {
+                l.invalidate();
             }
-            l.valid.set(j);
-        }
-        l.committed = false;
-        l.arch = arch && was_arch;
-        if let Some(j) = set_load {
-            if !l.store.contains(j) && !Mutation::LoadSkipsLBit.enabled() {
-                l.load.set(j);
+            if l.data.len() != wpl {
+                l.data = vec![Word::ZERO; wpl];
             }
-        }
-        cache.touch(slot);
+            let was_arch = l.arch || !l.is_valid();
+            l.line = Some(line);
+            for (j, words, _) in data.iter() {
+                for (k, word) in words.iter().enumerate() {
+                    l.data[j * w + k] = *word;
+                }
+                l.valid.set(j);
+            }
+            l.committed = false;
+            l.arch = arch && was_arch;
+            if let Some(j) = set_load {
+                if !l.store.contains(j) && !Mutation::LoadSkipsLBit.enabled() {
+                    l.load.set(j);
+                }
+            }
+        });
+        self.caches[pu.index()].touch(slot);
     }
 
     /// Writes `pu`'s data for `mask` sub-blocks to memory (a committed
@@ -441,7 +490,7 @@ impl SvcSystem {
 
     fn invalidate_line(&mut self, pu: PuId, line: LineId) {
         if let Some(r) = self.caches[pu.index()].find(line) {
-            self.caches[pu.index()].slot_mut(r).invalidate();
+            self.update_slot(pu, r, SvcLine::invalidate);
         }
     }
 
@@ -588,13 +637,14 @@ impl SvcSystem {
             }
         }
         let wpl = self.config.geometry.words_per_line();
-        let slot = self.caches[pu.index()].slot_mut(r);
-        slot.invalidate();
-        if slot.data.len() != wpl {
-            // Freshly-constructed slots carry no storage yet.
-            slot.data = vec![Word::ZERO; wpl];
-        }
-        slot.line = Some(line);
+        self.update_slot(pu, r, |slot| {
+            slot.invalidate();
+            if slot.data.len() != wpl {
+                // Freshly-constructed slots carry no storage yet.
+                slot.data = vec![Word::ZERO; wpl];
+            }
+            slot.line = Some(line);
+        });
         Ok((r, done))
     }
 
@@ -706,9 +756,7 @@ impl SvcSystem {
                 continue;
             }
             if let Some(r) = self.caches[q.index()].find(line) {
-                self.caches[q.index()]
-                    .slot_mut(r)
-                    .invalidate_subblocks(mask);
+                self.update_slot(q, r, |l| l.invalidate_subblocks(mask));
             }
         }
         // Hybrid update: push the stored word into surviving copies.
@@ -723,34 +771,34 @@ impl SvcSystem {
         }
         // Install the store in the requestor.
         let w = self.config.geometry.words_per_subblock();
-        let cache = &mut self.caches[pu.index()];
-        let l = cache.slot_mut(slot);
-        if fresh {
-            let words = l.data.len();
-            *l = SvcLine::invalid(words);
-        }
-        l.line = Some(line);
-        for (fj, words, _) in data.iter() {
-            for (k, word) in words.iter().enumerate() {
-                l.data[fj * w + k] = *word;
+        self.update_slot(pu, slot, |l| {
+            if fresh {
+                l.invalidate();
             }
-            l.valid.set(fj);
-        }
-        l.data[off] = value;
-        l.valid.set(j);
-        l.store.set(j);
-        // A one-word store into a wider versioning block *consumes* the
-        // block's other words (the new version is built on the closest
-        // previous version's content), so the dependence must be recorded
-        // exactly like a load's: an older task's later store to this
-        // block invalidates the consumed words and must squash us, or the
-        // committed winner would carry stale words (DESIGN.md §5.6).
-        if w > 1 {
-            l.load.set(j);
-        }
-        l.committed = false;
-        l.arch = false;
-        cache.touch(slot);
+            l.line = Some(line);
+            for (fj, words, _) in data.iter() {
+                for (k, word) in words.iter().enumerate() {
+                    l.data[fj * w + k] = *word;
+                }
+                l.valid.set(fj);
+            }
+            l.data[off] = value;
+            l.valid.set(j);
+            l.store.set(j);
+            // A one-word store into a wider versioning block *consumes*
+            // the block's other words (the new version is built on the
+            // closest previous version's content), so the dependence must
+            // be recorded exactly like a load's: an older task's later
+            // store to this block invalidates the consumed words and must
+            // squash us, or the committed winner would carry stale words
+            // (DESIGN.md §5.6).
+            if w > 1 {
+                l.load.set(j);
+            }
+            l.committed = false;
+            l.arch = false;
+        });
+        self.caches[pu.index()].touch(slot);
         self.rewrite_pointers(line, &plan.vol_after);
         self.recompute_stale(line);
         // Report the oldest violated task, if any.
@@ -798,6 +846,12 @@ impl SvcSystem {
         lines.sort_unstable();
         lines.dedup();
         lines
+    }
+
+    /// Every disagreement between the presence index and the caches (for
+    /// the invariant watchdog).
+    pub(crate) fn presence_mismatches(&self) -> Vec<(Option<PuId>, Option<LineId>, String)> {
+        self.presence.mismatches(&self.caches)
     }
 
     /// Whether `pu`'s copy of `line` has the exclusive (X) bit set.
@@ -870,25 +924,16 @@ impl SvcSystem {
     }
 
     /// Caches eligible to snarf a fill of `line`: no copy, a free way, and
-    /// an assigned task.
+    /// an assigned task; in increasing PU order.
     fn snarf_candidates(&self, line: LineId, exclude: PuId) -> SmallVec<(PuId, TaskId), 8> {
         if !self.config.snarfing {
             return SmallVec::new();
         }
-        (0..self.config.num_pus)
-            .filter_map(|i| {
-                let q = PuId(i);
-                if q == exclude || self.caches[i].find(line).is_some() {
-                    return None;
-                }
-                let task = self.assignments.task_of(q)?;
-                let r = self.caches[i].victim_way(line);
-                if self.caches[i].slot(r).state() == LineState::Invalid {
-                    Some((q, task))
-                } else {
-                    None
-                }
-            })
+        let set = self.config.geometry.set_index(line);
+        self.presence
+            .free_non_holders(set, line)
+            .filter(|&q| q != exclude)
+            .filter_map(|q| Some((q, self.assignments.task_of(q)?)))
             .collect()
     }
 }
@@ -1314,7 +1359,7 @@ impl VersionedMemory for SvcSystem {
                 self.flush_to_memory(pu, line, mask, done);
                 done = grant.done;
             }
-            for l in self.caches[pu.index()].iter_mut() {
+            self.update_all_slots(pu, |l| {
                 if trace_lines && l.is_valid() {
                     let from = l.bits();
                     let line = l.line.expect("valid line has a tag");
@@ -1329,7 +1374,7 @@ impl VersionedMemory for SvcSystem {
                 } else {
                     l.invalidate();
                 }
-            }
+            });
             done
         };
         self.assignments.release(pu);
@@ -1347,12 +1392,12 @@ impl VersionedMemory for SvcSystem {
         let tracer = self.tracer.clone();
         let mut invalidated = 0;
         let mut retained = 0;
-        for l in self.caches[pu.index()].iter_mut() {
+        self.update_all_slots(pu, |l| {
             if !l.is_valid() {
-                continue;
+                return;
             }
             if lazy && l.committed {
-                continue; // committed state survives squashes
+                return; // committed state survives squashes
             }
             let before = trace_lines.then(|| (l.bits(), l.line.expect("valid line has a tag")));
             if arch_bit && l.arch && l.store.is_empty() {
@@ -1378,7 +1423,7 @@ impl VersionedMemory for SvcSystem {
                     });
                 }
             }
-        }
+        });
         self.stats.squash_invalidations += invalidated;
         self.stats.squash_retained += retained;
         self.assignments.release(pu);
@@ -1421,10 +1466,9 @@ impl VersionedMemory for SvcSystem {
         }
         for line in lines {
             let snaps = self.snapshots(line);
-            let vol = order_vol(&snaps);
-            let committed: Vec<&LineSnapshot> = vol
-                .iter()
-                .map(|&q| snaps.iter().find(|s| s.pu == q).expect("member"))
+            let committed: Vec<&LineSnapshot> = vol_indices(&snaps)
+                .into_iter()
+                .map(|i| &snaps[i])
                 .filter(|s| s.committed)
                 .collect();
             let subblocks = self.config.geometry.subblocks_per_line();
@@ -1536,7 +1580,8 @@ impl ModelCheckable for SvcSystem {
 /// Configuration (geometry, capacities, design knobs) is *not* stored;
 /// restore targets a freshly built system with the same [`SvcConfig`] and
 /// cross-checks the structural facts it can (PU count, lines per cache,
-/// fault thresholds).
+/// fault thresholds). Nor is the presence index, a function of the
+/// caches: a successful restore rebuilds it.
 impl svc_types::Checkpointable for SvcSystem {
     fn save_state(&self, w: &mut svc_types::CkptWriter) {
         w.put_usize(self.caches.len());
@@ -1579,6 +1624,8 @@ impl svc_types::Checkpointable for SvcSystem {
         }
         self.assignments.restore_state(r)?;
         self.stats.restore_state(r)?;
-        self.faults.restore_state(r)
+        self.faults.restore_state(r)?;
+        self.presence.rebuild(&self.caches);
+        Ok(())
     }
 }

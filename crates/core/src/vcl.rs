@@ -20,7 +20,7 @@ use svc_types::{LineId, PuId, TaskId};
 
 use crate::mask::SubMask;
 use crate::snapshot::LineSnapshot;
-use crate::vol::{order_vol, VolOrder};
+use crate::vol::{vol_indices, VolOrder};
 
 /// Per-sub-block fill sources; inline for the common ≤8-sub-block case.
 pub type FillList = SmallVec<(usize, SupplySource), 8>;
@@ -204,8 +204,9 @@ pub struct Vcl {
 
 impl Vcl {
     /// Plans a `BusRead`: requestor `pu` (running `task`) wants the
-    /// sub-blocks in `fill_mask` of the line described by `snaps` (one
-    /// snapshot per PU; invalid entries for non-holders). `head_task` is
+    /// sub-blocks in `fill_mask` of the line described by `snaps`: a
+    /// snapshot of every holder, at most one per PU; non-holders may be
+    /// left out or passed as invalid entries. `head_task` is
     /// the oldest executing task (for A-bit decisions);
     /// `snarf_candidates` are caches with a free slot and no copy.
     pub fn plan_read(
@@ -247,17 +248,23 @@ impl Vcl {
         }
 
         // Snarfers: a candidate may copy the fill iff, for every filled
-        // sub-block, its correct supplier equals the requestor's.
+        // sub-block, its correct supplier equals the requestor's (the
+        // source `fill` already names).
         let snarfers: PuList = if self.snarfing {
             snarf_candidates
                 .iter()
                 .filter(|&&(q, qtask)| {
-                    q != pu
-                        && fill_mask.iter().all(|j| {
-                            let qpos = position_for(&vol, q, qtask);
-                            supplier(&vol, qpos, q, j, self.trust_stale)
-                                == supplier(&vol, pos, pu, j, self.trust_stale)
-                        })
+                    if q == pu {
+                        return false;
+                    }
+                    let qpos = position_for(&vol, q, qtask);
+                    fill.iter().all(|&(j, src)| {
+                        let want = match src {
+                            SupplySource::Cache(s) => Some(s),
+                            SupplySource::Memory => None,
+                        };
+                        supplier(&vol, qpos, q, j, self.trust_stale) == want
+                    })
                 })
                 .map(|&(q, _)| q)
                 .collect()
@@ -302,6 +309,7 @@ impl Vcl {
     /// Plans a `BusWrite`: requestor `pu` (running `task`) stores to the
     /// sub-blocks in `store_mask`; `fill_mask` are the sub-blocks it also
     /// needs fetched (write-allocate of words it does not overwrite).
+    /// `snaps` as for [`plan_read`](Self::plan_read).
     pub fn plan_write(
         &self,
         snaps: &[LineSnapshot],
@@ -384,7 +392,8 @@ impl Vcl {
     /// `evict_store` sub-blocks. For a *committed* castout only the
     /// winning (most recent committed) sub-blocks reach memory; for an
     /// *active* castout (head task only) the evicted data supersedes all
-    /// committed versions of the same sub-blocks.
+    /// committed versions of the same sub-blocks. `snaps` as for
+    /// [`plan_read`](Self::plan_read).
     pub fn plan_wback(&self, snaps: &[LineSnapshot], pu: PuId) -> WbackPlan {
         let vol = ordered(snaps);
         let me = member(&vol, pu);
@@ -442,19 +451,11 @@ impl Vcl {
 type OrderBuf = SmallVec<(Option<TaskId>, PuId), 8>;
 
 /// Valid members in VOL order.
-fn ordered(snaps: &[LineSnapshot]) -> SmallVec<LineSnapshot, 8> {
-    order_vol(snaps)
-        .into_iter()
-        .map(|pu| {
-            *snaps
-                .iter()
-                .find(|s| s.pu == pu)
-                .expect("ordered member exists")
-        })
-        .collect()
+fn ordered(snaps: &[LineSnapshot]) -> SmallVec<&LineSnapshot, 8> {
+    vol_indices(snaps).into_iter().map(|i| &snaps[i]).collect()
 }
 
-fn member(vol: &[LineSnapshot], pu: PuId) -> &LineSnapshot {
+fn member<'a>(vol: &[&'a LineSnapshot], pu: PuId) -> &'a LineSnapshot {
     vol.iter().find(|s| s.pu == pu).expect("member present")
 }
 
@@ -464,7 +465,7 @@ fn member(vol: &[LineSnapshot], pu: PuId) -> &LineSnapshot {
 /// after every committed member (including `pu`'s own old committed line,
 /// which predates the task) and after every uncommitted member with an
 /// older task.
-fn position_for(vol: &[LineSnapshot], pu: PuId, task: TaskId) -> usize {
+fn position_for(vol: &[&LineSnapshot], pu: PuId, task: TaskId) -> usize {
     if let Some(i) = vol.iter().position(|s| s.pu == pu && !s.committed) {
         return i;
     }
@@ -492,7 +493,7 @@ fn position_for(vol: &[LineSnapshot], pu: PuId, task: TaskId) -> usize {
 /// bit fall back to memory). The requestor's own line can only be a
 /// committed one here (an active copy of `j` would have hit locally).
 fn supplier(
-    vol: &[LineSnapshot],
+    vol: &[&LineSnapshot],
     pos: usize,
     pu: PuId,
     j: usize,
@@ -515,7 +516,7 @@ fn supplier(
 }
 
 fn plan_fill(
-    vol: &[LineSnapshot],
+    vol: &[&LineSnapshot],
     pos: usize,
     pu: PuId,
     fill_mask: SubMask,
@@ -540,9 +541,10 @@ fn plan_fill(
 /// Per-PU flush masks, plus the raw `(pu, sub-block)` winner pairs.
 type Winners = (MaskList, SmallVec<(PuId, usize), 8>);
 
-fn committed_winners(vol: &[LineSnapshot]) -> Winners {
+fn committed_winners(vol: &[&LineSnapshot]) -> Winners {
     let mut winners: SmallVec<(PuId, usize), 8> = SmallVec::new();
-    let committed: SmallVec<&LineSnapshot, 8> = vol.iter().filter(|s| s.committed).collect();
+    let committed: SmallVec<&LineSnapshot, 8> =
+        vol.iter().copied().filter(|s| s.committed).collect();
     // Only sub-blocks some committed line actually stored can win; iterate
     // their union (ascending) rather than all 64 positions.
     let stored = committed.iter().fold(SubMask::EMPTY, |m, s| m | s.store);

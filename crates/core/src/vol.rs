@@ -11,7 +11,7 @@
 
 use smallvec::SmallVec;
 use svc_sim::trace::VolEntry;
-use svc_types::PuId;
+use svc_types::{PuId, TaskId};
 
 use crate::snapshot::LineSnapshot;
 
@@ -19,21 +19,21 @@ use crate::snapshot::LineSnapshot;
 /// every paper configuration), heap beyond that.
 pub type VolOrder = SmallVec<PuId, 8>;
 
+/// Positions in a snapshot slice, in VOL order (see [`vol_indices`]).
+pub(crate) type VolIndices = SmallVec<usize, 8>;
+
 /// The reconstructed VOL as trace entries (oldest first): each member's
 /// PU, current task, and whether it is a *version* (holds store data)
 /// rather than a pure copy. Feeds `vol`-category trace events.
 pub fn vol_trace_entries(snapshots: &[LineSnapshot]) -> Vec<VolEntry> {
-    order_vol(snapshots)
+    vol_indices(snapshots)
         .into_iter()
-        .map(|q| {
-            let s = snapshots
-                .iter()
-                .find(|s| s.pu == q)
-                .expect("VOL members come from the snapshots");
+        .map(|i| {
+            let s = &snapshots[i];
             VolEntry {
-                pu: q,
+                pu: s.pu,
                 task: s.task,
-                version: !s.store.is_empty(),
+                version: s.is_version(),
             }
         })
         .collect()
@@ -47,75 +47,102 @@ pub fn vol_trace_entries(snapshots: &[LineSnapshot]) -> Vec<VolEntry> {
 /// ordered by the task currently on their PU — valid because an
 /// uncommitted line always belongs to its PU's current task.
 ///
-/// Invalid snapshots are skipped. Dangling pointers (to PUs whose line was
-/// squash-invalidated) are ignored.
+/// `snapshots` holds at most one snapshot per PU, in any order (a
+/// snooped bus sees each cache once). Invalid snapshots are skipped.
+/// Dangling pointers (to PUs whose line was squash-invalidated) are
+/// ignored.
 ///
 /// # Panics
 ///
 /// Panics if an uncommitted valid line sits on a PU with no assigned task
-/// (a system invariant violation).
+/// (a system invariant violation). Debug builds also panic if two
+/// committed snapshots share a PU.
 pub fn order_vol(snapshots: &[LineSnapshot]) -> VolOrder {
+    vol_indices(snapshots)
+        .into_iter()
+        .map(|i| snapshots[i].pu)
+        .collect()
+}
+
+/// [`order_vol`] as positions in `snapshots` (whose PUs must be
+/// distinct), in O(h log h) for h snapshots.
+///
+/// Committed chains start at the committed members no other committed
+/// member points to, taken in PU order; each chain follows `next` through
+/// committed members until it leaves the set or meets a member already
+/// placed (a corrupt cycle). Committed members no chain reached follow in
+/// slice order. Uncommitted members come last, by task, ties in slice
+/// order.
+pub(crate) fn vol_indices(snapshots: &[LineSnapshot]) -> VolIndices {
+    let n = snapshots.len();
+    let mut order = VolIndices::new();
+
     // --- Committed prefix: follow the pointer chain. ---
-    let committed: SmallVec<&LineSnapshot, 8> = snapshots
-        .iter()
-        .filter(|s| s.is_valid() && s.committed)
+    // Committed members sorted by PU: the lookup `next` pointers resolve
+    // through.
+    let mut by_pu: VolIndices = (0..n)
+        .filter(|&i| snapshots[i].is_valid() && snapshots[i].committed)
         .collect();
-    let mut chain: VolOrder = SmallVec::new();
-    if !committed.is_empty() {
-        let is_committed_member = |pu: PuId| committed.iter().any(|s| s.pu == pu);
-        // Heads: committed members not pointed to by any other committed
-        // member.
-        let mut heads: SmallVec<&LineSnapshot, 8> = committed
-            .iter()
-            .copied()
-            .filter(|s| {
-                !committed
-                    .iter()
-                    .any(|o| o.pu != s.pu && o.next == Some(s.pu))
-            })
-            .collect();
+    if !by_pu.is_empty() {
+        by_pu.sort_unstable_by_key(|&i| snapshots[i].pu.index());
+        debug_assert!(
+            by_pu
+                .windows(2)
+                .all(|w| snapshots[w[0]].pu != snapshots[w[1]].pu),
+            "one snapshot per PU"
+        );
+        let member = |pu: PuId| {
+            by_pu
+                .binary_search_by_key(&pu.index(), |&i| snapshots[i].pu.index())
+                .ok()
+                .map(|k| by_pu[k])
+        };
+        // pointed[i]: another committed member's `next` names member i.
+        let mut pointed: SmallVec<bool, 64> = (0..n).map(|_| false).collect();
+        for &i in &by_pu {
+            let s = &snapshots[i];
+            if let Some(j) = s.next.filter(|&q| q != s.pu).and_then(member) {
+                pointed[j] = true;
+            }
+        }
+        // placed[i]: member i is in `order` (doubles as the cycle guard).
+        let mut placed: SmallVec<bool, 64> = (0..n).map(|_| false).collect();
         // Normally exactly one head; multiple fragments can only arise
-        // from repaired state. Process heads deterministically by PU index.
-        heads.sort_unstable_by_key(|s| s.pu.index());
-        let lookup = |pu: PuId| committed.iter().copied().find(|s| s.pu == pu);
-        for head in &heads {
-            let mut cur = Some(head.pu);
-            while let Some(pu) = cur {
-                if !is_committed_member(pu) {
-                    break; // pointer leads out of the committed set
-                }
-                // A PU appears in the chain at most once, so membership
-                // doubles as the cycle protection (corrupt state).
-                if chain.contains(&pu) {
-                    break;
-                }
-                chain.push(pu);
-                cur = lookup(pu).and_then(|s| s.next);
+        // from repaired state. Heads go in PU order.
+        for &head in by_pu.iter().filter(|&&i| !pointed[i]) {
+            let mut cur = Some(head);
+            while let Some(i) = cur.filter(|&i| !placed[i]) {
+                placed[i] = true;
+                order.push(i);
+                cur = snapshots[i].next.and_then(member);
             }
         }
         // Any committed member the chains missed (fully corrupt pointers):
         // append deterministically.
-        for s in &committed {
-            if !chain.contains(&s.pu) {
-                chain.push(s.pu);
+        for i in 0..n {
+            if snapshots[i].is_valid() && snapshots[i].committed && !placed[i] {
+                order.push(i);
             }
         }
     }
 
     // --- Uncommitted suffix: order by current task. ---
-    let mut uncommitted: SmallVec<&LineSnapshot, 8> = snapshots
-        .iter()
-        .filter(|s| s.is_valid() && !s.committed)
+    let mut uncommitted: SmallVec<(TaskId, usize), 8> = (0..n)
+        .filter(|&i| snapshots[i].is_valid() && !snapshots[i].committed)
+        .map(|i| {
+            let task = snapshots[i]
+                .ordering_task()
+                .expect("uncommitted lines have tasks");
+            (task, i)
+        })
         .collect();
-    uncommitted.sort_by_key(|s| s.ordering_task().expect("uncommitted lines have tasks"));
-    chain.extend(uncommitted.iter().map(|s| s.pu));
-    chain
+    uncommitted.sort_unstable();
+    order.extend(uncommitted.iter().map(|&(_, i)| i));
+    order
 }
 
 #[cfg(test)]
 mod tests {
-    use svc_types::TaskId;
-
     use super::*;
     use crate::mask::SubMask;
 

@@ -34,6 +34,9 @@
 //! - **Post-squash cleanliness** ([`InvariantKind::SquashResidue`],
 //!   [`check_post_squash`]): immediately after a squash, no uncommitted
 //!   valid line survives in the squashed PU's cache.
+//! - **Presence index** ([`InvariantKind::PresenceIndex`]): the host-side
+//!   index of which caches hold each line and which have a free way in
+//!   each set equals a recomputation over the caches.
 
 use smallvec::SmallVec;
 use svc_types::{Cycle, InvariantKind, InvariantViolation, LineId, PuId};
@@ -48,6 +51,15 @@ pub fn check_system(sys: &SvcSystem, now: Cycle) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     for line in sys.resident_lines() {
         check_line(sys, line, &sys.snapshots(line), now, &mut out);
+    }
+    for (pu, line, detail) in sys.presence_mismatches() {
+        out.push(InvariantViolation {
+            kind: InvariantKind::PresenceIndex,
+            pu,
+            line,
+            cycle: now,
+            detail,
+        });
     }
     out
 }

@@ -104,6 +104,109 @@ proptest! {
     }
 }
 
+/// The VOL reconstruction as first written: a committed-chain walk with
+/// linear `contains`/`find` lookups, quadratic in the holder count. Kept
+/// here as the reference the O(h log h) [`order_vol`] must reproduce
+/// exactly, tie-breaks included.
+fn reference_order_vol(snapshots: &[LineSnapshot]) -> Vec<PuId> {
+    let committed: Vec<&LineSnapshot> = snapshots
+        .iter()
+        .filter(|s| s.is_valid() && s.committed)
+        .collect();
+    let mut chain: Vec<PuId> = Vec::new();
+    if !committed.is_empty() {
+        let is_committed_member = |pu: PuId| committed.iter().any(|s| s.pu == pu);
+        let mut heads: Vec<&LineSnapshot> = committed
+            .iter()
+            .copied()
+            .filter(|s| {
+                !committed
+                    .iter()
+                    .any(|o| o.pu != s.pu && o.next == Some(s.pu))
+            })
+            .collect();
+        heads.sort_unstable_by_key(|s| s.pu.index());
+        let lookup = |pu: PuId| committed.iter().copied().find(|s| s.pu == pu);
+        for head in &heads {
+            let mut cur = Some(head.pu);
+            while let Some(pu) = cur {
+                if !is_committed_member(pu) || chain.contains(&pu) {
+                    break;
+                }
+                chain.push(pu);
+                cur = lookup(pu).and_then(|s| s.next);
+            }
+        }
+        for s in &committed {
+            if !chain.contains(&s.pu) {
+                chain.push(s.pu);
+            }
+        }
+    }
+    let mut uncommitted: Vec<&LineSnapshot> = snapshots
+        .iter()
+        .filter(|s| s.is_valid() && !s.committed)
+        .collect();
+    uncommitted.sort_by_key(|s| s.ordering_task().expect("uncommitted lines have tasks"));
+    chain.extend(uncommitted.iter().map(|s| s.pu));
+    chain
+}
+
+/// `n` snapshots of distinct PUs (drawn from 0..160, in shuffled order)
+/// for the reference comparison: copies valid or not, committed or not;
+/// tasks from a small range, so ties occur; `next` pointers absent,
+/// dangling (to a PU outside the set) or aimed at a random member,
+/// itself included, so chains fork, merge and cycle.
+fn wide_snapshots(n: usize, seed: u64) -> Vec<LineSnapshot> {
+    let mut rng = svc_sim::rng::SplitMix64::new(seed);
+    let mut pool: Vec<usize> = (0..160).collect();
+    for i in (1..pool.len()).rev() {
+        pool.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    let pus = &pool[..n];
+    pus.iter()
+        .map(|&pu| {
+            let committed = rng.next_u64().is_multiple_of(2);
+            let next = match rng.next_u64() % 4 {
+                0 => None,
+                1 => Some(PuId(160 + (rng.next_u64() % 8) as usize)),
+                _ => Some(PuId(pus[(rng.next_u64() % n as u64) as usize])),
+            };
+            LineSnapshot {
+                pu: PuId(pu),
+                task: (!committed || rng.next_u64().is_multiple_of(2))
+                    .then(|| TaskId(rng.next_u64() % 12)),
+                valid: if rng.next_u64().is_multiple_of(8) {
+                    SubMask::EMPTY
+                } else {
+                    SubMask::all(1)
+                },
+                store: SubMask::EMPTY,
+                load: SubMask::EMPTY,
+                committed,
+                stale: false,
+                arch: false,
+                next,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    /// The O(h log h) reconstruction equals the quadratic reference on
+    /// random sets of up to 130 holders, sizes drawn in three bands (to
+    /// 8, to 64, beyond 64): unsorted PUs, dangling and cyclic committed
+    /// pointers, tied tasks.
+    #[test]
+    fn order_vol_equals_the_quadratic_reference(
+        n in prop_oneof![0usize..9, 9usize..65, 65usize..131],
+        seed in any::<u64>(),
+    ) {
+        let snaps = wide_snapshots(n, seed);
+        prop_assert_eq!(order_vol(&snaps).to_vec(), reference_order_vol(&snaps));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Full-system differential properties (invariants 1 and 5)
 // ---------------------------------------------------------------------

@@ -119,6 +119,11 @@ impl<S: Slot> CacheArray<S> {
         (set, w)
     }
 
+    /// Whether set number `set` has a free slot.
+    pub fn set_has_free_way(&self, set: usize) -> bool {
+        (0..self.geometry.ways()).any(|w| self.slots[self.flat((set, w))].held_line().is_none())
+    }
+
     /// All ways of `line`'s set, in way order. The caller can scan these to
     /// pick an alternative victim when the LRU choice is not evictable.
     pub fn ways_of_set(&self, line: LineId) -> WayList {
@@ -233,6 +238,9 @@ mod tests {
         install(&mut a, LineId(0));
         let v = a.victim_way(LineId(1));
         assert!(a.slot(v).held_line().is_none());
+        assert!(a.set_has_free_way(0));
+        install(&mut a, LineId(1));
+        assert!(!a.set_has_free_way(0));
     }
 
     #[test]

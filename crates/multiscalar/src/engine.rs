@@ -1,6 +1,5 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use smallvec::SmallVec;
 use svc_sim::fault::{FaultEvent, FaultSite, Faults};
 use svc_sim::metrics::{MetricSource, MetricsRegistry};
 use svc_sim::profile::Profiler;
@@ -273,6 +272,11 @@ pub struct Engine<M> {
     config: EngineConfig,
     mem: M,
     pus: Vec<PuState>,
+    /// The PUs running a task, in dispatch order, which is program order:
+    /// dispatch appends the next position, commit pops the head, and a
+    /// squash cuts a suffix, so positions strictly increase along it.
+    /// Derived from `pus[..].pos`: rebuilt on restore, never checkpointed.
+    running: VecDeque<usize>,
     attempts: HashMap<u64, u32>,
     next_pos: u64,
     dispatch_ready: Cycle,
@@ -337,6 +341,7 @@ impl<M: VersionedMemory> Engine<M> {
         );
         Engine {
             pus: (0..config.num_pus).map(|_| PuState::idle()).collect(),
+            running: VecDeque::with_capacity(config.num_pus),
             mem,
             attempts: HashMap::new(),
             next_pos: 0,
@@ -512,9 +517,8 @@ impl<M: VersionedMemory> Engine<M> {
                 }
             }
             // Termination checks.
-            let any_running = self.pus.iter().any(|p| p.pos.is_some());
             let more_tasks = self.peek_next(source).is_some();
-            if !any_running && !more_tasks {
+            if self.running.is_empty() && !more_tasks {
                 break;
             }
             if self.config.max_instructions > 0
@@ -553,7 +557,7 @@ impl<M: VersionedMemory> Engine<M> {
             // machinery under load.
             if self.faults.is_active() {
                 if let Some(penalty) = self.faults.inject(FaultSite::SpuriousSquash) {
-                    if let Some(victim) = self.pus.iter().filter_map(|p| p.pos).max() {
+                    if let Some(victim) = self.running.back().and_then(|&pu| self.pus[pu].pos) {
                         self.tracer.emit(now, Category::Fault, || {
                             TraceEvent::Fault(FaultEvent {
                                 site: FaultSite::SpuriousSquash,
@@ -569,11 +573,12 @@ impl<M: VersionedMemory> Engine<M> {
             }
 
             // 2. Execute: PUs issue in program order (oldest task first).
-            let order = self.pu_program_order();
-            for pu in order {
-                if self.pus[pu].pos.is_none() {
-                    continue;
-                }
+            //    A squash here only cuts the tail at or after the current
+            //    PU, so walking `running` by index visits each survivor
+            //    once.
+            let mut k = 0;
+            while let Some(&pu) = self.running.get(k) {
+                k += 1;
                 // Misprediction detection.
                 if self.pus[pu].wrong && now >= self.pus[pu].detect_at {
                     let pos = self.pus[pu].pos.expect("checked");
@@ -591,7 +596,7 @@ impl<M: VersionedMemory> Engine<M> {
 
             // 3. Commit: the head task, if finished and correctly
             //    predicted, commits its speculative state.
-            if let Some(pu) = self.head_pu() {
+            if let Some(&pu) = self.running.front() {
                 let p = &self.pus[pu];
                 if p.done && !p.wrong && now >= p.ready_at {
                     let n = p.instrs.len() as u64;
@@ -613,6 +618,7 @@ impl<M: VersionedMemory> Engine<M> {
                     self.task_lengths.record(n);
                     self.task_latency.record(latency);
                     self.profiler.on_commit(PuId(pu), now, done);
+                    self.running.pop_front();
                     self.pus[pu] = PuState::idle();
                     self.pus[pu].ready_at = done;
                     progressed = true;
@@ -626,15 +632,14 @@ impl<M: VersionedMemory> Engine<M> {
             } else {
                 let mut next = Cycle(now.0 + 1);
                 let mut wake = Cycle(u64::MAX);
-                for p in &self.pus {
-                    if p.pos.is_some() {
-                        if p.wrong {
-                            wake = Cycle(wake.0.min(p.detect_at.0));
-                        }
-                        wake = Cycle(wake.0.min(p.ready_at.0));
+                for &pu in &self.running {
+                    let p = &self.pus[pu];
+                    if p.wrong {
+                        wake = Cycle(wake.0.min(p.detect_at.0));
                     }
+                    wake = Cycle(wake.0.min(p.ready_at.0));
                 }
-                if more_tasks && self.pus.iter().any(|p| p.pos.is_none()) {
+                if more_tasks && self.running.len() < self.pus.len() {
                     wake = Cycle(wake.0.min(self.dispatch_ready.0.max(next.0)));
                 }
                 // Never jump over an observability boundary: periodic
@@ -787,19 +792,10 @@ impl<M: VersionedMemory> Engine<M> {
     /// Handles a replacement/structural stall: the head frees resources by
     /// squashing everything younger; others simply retry next cycle.
     fn stall(&mut self, pu: usize, now: Cycle) {
-        let is_head = self.head_pu() == Some(pu);
-        if is_head {
-            if let Some(pos) = self.pus[pu].pos {
-                // Squash strictly younger tasks to free speculative state.
-                let younger = self
-                    .pus
-                    .iter()
-                    .filter_map(|p| p.pos)
-                    .filter(|&t| t > pos)
-                    .min();
-                if let Some(victim) = younger {
-                    self.squash_from(victim, SquashCause::Resource, now);
-                }
+        if self.running.front() == Some(&pu) {
+            // Squash strictly younger tasks to free speculative state.
+            if let Some(victim) = self.running.get(1).and_then(|&q| self.pus[q].pos) {
+                self.squash_from(victim, SquashCause::Resource, now);
             }
         }
         self.pus[pu].ready_at = now + 1;
@@ -825,6 +821,7 @@ impl<M: VersionedMemory> Engine<M> {
                 wrong_path: wrong,
             });
         self.mem.assign(PuId(pu), TaskId(pos));
+        self.running.push_back(pu);
         let ready = now.max(self.pus[pu].ready_at) + self.config.dispatch_cycles;
         self.profiler.on_dispatch(PuId(pu), now, ready);
         self.pus[pu] = PuState {
@@ -854,18 +851,17 @@ impl<M: VersionedMemory> Engine<M> {
             SquashCause::Resource => svc_sim::trace::SquashCause::Resource,
             SquashCause::Fault => svc_sim::trace::SquashCause::Fault,
         };
-        let mut hit: Vec<(usize, u64)> = self
-            .pus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.pos.map(|t| (i, t)))
-            .filter(|&(_, t)| t >= victim)
-            .collect();
-        hit.sort_by_key(|&(_, t)| core::cmp::Reverse(t));
-        if !hit.is_empty() {
-            self.squash_depths.record(hit.len() as u64);
+        let keep = self
+            .running
+            .partition_point(|&pu| self.pus[pu].pos.is_some_and(|t| t < victim));
+        let hit = self.running.len() - keep;
+        if hit > 0 {
+            self.squash_depths.record(hit as u64);
         }
-        for &(pu, task) in &hit {
+        // Youngest first.
+        while self.running.len() > keep {
+            let pu = self.running.pop_back().expect("suffix is non-empty");
+            let task = self.pus[pu].pos.expect("running PU has a task");
             let ready = self.pus[pu].ready_at;
             self.tracer
                 .emit(now, Category::Task, || TraceEvent::TaskSquash {
@@ -917,30 +913,6 @@ impl<M: VersionedMemory> Engine<M> {
                 });
             self.violations.push(v);
         }
-    }
-
-    /// The PU running the oldest task, if any.
-    fn head_pu(&self) -> Option<usize> {
-        self.pus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.pos.map(|t| (i, t)))
-            .min_by_key(|&(_, t)| t)
-            .map(|(i, _)| i)
-    }
-
-    /// PU indices ordered oldest task first (idle PUs excluded). Runs
-    /// once per scheduler iteration, so it stays allocation-free up to
-    /// the inline capacity.
-    fn pu_program_order(&self) -> SmallVec<usize, 8> {
-        let mut v: SmallVec<(usize, u64), 8> = self
-            .pus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.pos.map(|t| (i, t)))
-            .collect();
-        v.sort_unstable_by_key(|&(_, t)| t);
-        v.iter().map(|&(i, _)| i).collect()
     }
 
     /// Deterministic wrong-path work for a mispredicted dispatch.
@@ -1127,6 +1099,11 @@ impl<M: VersionedMemory + svc_types::Checkpointable> svc_types::Checkpointable f
         // does not carry; drop it so the next peek re-asks the source.
         self.peek_task = None;
         self.peek_valid = false;
+        let mut running: Vec<(u64, usize)> = (self.pus.iter().enumerate())
+            .filter_map(|(i, p)| p.pos.map(|t| (t, i)))
+            .collect();
+        running.sort_unstable();
+        self.running = running.into_iter().map(|(_, i)| i).collect();
         Ok(())
     }
 }

@@ -407,7 +407,7 @@ newtype_impl!(Cycle, u64);
 newtype_impl!(PuId, usize);
 newtype_impl!(TaskId, u64);
 
-const INVARIANT_KINDS: [InvariantKind; 7] = [
+const INVARIANT_KINDS: [InvariantKind; 8] = [
     InvariantKind::VolCycle,
     InvariantKind::VolOrder,
     InvariantKind::Orphan,
@@ -415,6 +415,7 @@ const INVARIANT_KINDS: [InvariantKind; 7] = [
     InvariantKind::Ownership,
     InvariantKind::SquashResidue,
     InvariantKind::Structure,
+    InvariantKind::PresenceIndex,
 ];
 
 impl Checkpointable for InvariantKind {

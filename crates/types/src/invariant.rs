@@ -25,6 +25,10 @@ pub enum InvariantKind {
     /// An internal structure (index, free list, row table) is
     /// inconsistent with itself.
     Structure,
+    /// A host-side lookup derived from the caches (the SVC's presence
+    /// index: which caches hold a line, which have a free way in a set)
+    /// differs from a recomputation over the caches themselves.
+    PresenceIndex,
 }
 
 impl InvariantKind {
@@ -38,6 +42,7 @@ impl InvariantKind {
             InvariantKind::Ownership => "ownership",
             InvariantKind::SquashResidue => "squash_residue",
             InvariantKind::Structure => "structure",
+            InvariantKind::PresenceIndex => "presence_index",
         }
     }
 }
@@ -104,5 +109,6 @@ mod tests {
     fn kind_names_are_stable() {
         assert_eq!(InvariantKind::VolCycle.name(), "vol_cycle");
         assert_eq!(InvariantKind::SquashResidue.name(), "squash_residue");
+        assert_eq!(InvariantKind::PresenceIndex.name(), "presence_index");
     }
 }
