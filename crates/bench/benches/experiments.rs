@@ -1,10 +1,10 @@
 //! Criterion benches, one group per paper artifact.
 //!
-//! `table2` / `table3` / `fig19` / `fig20` benchmark the *simulation
-//! runs* that regenerate each artifact (at a reduced instruction budget —
-//! the printed tables come from the `table2`/`table3`/`fig19`/`fig20`
-//! binaries, which run the full budget). `protocol` micro-benchmarks the
-//! SVC's hot paths (local hits, bus transactions with VCL planning,
+//! `table_2` / `table_3` / `figure_19` / `figure_20` benchmark the
+//! *simulation runs* behind each artifact (at a reduced instruction
+//! budget — the printed tables come from the `paper` binary, which runs
+//! the full budget). `protocol` micro-benchmarks the SVC's hot paths
+//! (local hits, bus transactions with VCL planning,
 //! commits and squashes) and `baselines` the ARB and ideal-memory
 //! equivalents — these are the numbers that matter for using this crate
 //! as a research simulator.
@@ -20,7 +20,7 @@ use svc_workloads::Spec95;
 
 const BENCH_BUDGET: u64 = 8_000;
 
-fn table2(c: &mut Criterion) {
+fn table_2(c: &mut Criterion) {
     let mut g = c.benchmark_group("table2_miss_ratios");
     g.sample_size(10);
     for b in [Spec95::Compress, Spec95::Mgrid] {
@@ -51,7 +51,7 @@ fn table2(c: &mut Criterion) {
     g.finish();
 }
 
-fn table3(c: &mut Criterion) {
+fn table_3(c: &mut Criterion) {
     let mut g = c.benchmark_group("table3_bus_utilization");
     g.sample_size(10);
     for kb in [8usize, 16] {
@@ -69,7 +69,7 @@ fn table3(c: &mut Criterion) {
     g.finish();
 }
 
-fn fig19(c: &mut Criterion) {
+fn figure_19(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig19_ipc_32KB");
     g.sample_size(10);
     for hit in [1u64, 4] {
@@ -100,7 +100,7 @@ fn fig19(c: &mut Criterion) {
     g.finish();
 }
 
-fn fig20(c: &mut Criterion) {
+fn figure_20(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig20_ipc_64KB");
     g.sample_size(10);
     g.bench_function("arb_2c_64KB/mgrid", |bench| {
@@ -237,5 +237,5 @@ fn baselines(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, table2, table3, fig19, fig20, protocol, baselines);
+criterion_group!(benches, table_2, table_3, figure_19, figure_20, protocol, baselines);
 criterion_main!(benches);

@@ -22,19 +22,8 @@ use svc_bench::{cli, run_spec95_with, MemoryKind, PAPER_SEED};
 use svc_workloads::Spec95;
 
 /// Every binary that contributes an entry to the snapshot, in sweep
-/// order (cheap sanity grids last so an early failure surfaces fast).
-const EXPERIMENTS: [&str; 10] = [
-    "motivation",
-    "table2",
-    "table3",
-    "fig19",
-    "fig20",
-    "scaling",
-    "scaling-xl",
-    "ablations",
-    "calibrate",
-    "calibrate64",
-];
+/// order.
+const EXPERIMENTS: [&str; 5] = ["motivation", "paper", "scaling", "scaling-xl", "ablations"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -15,9 +15,12 @@
 
 use svc::{SvcConfig, SvcSystem};
 use svc_arb::{ArbConfig, ArbSystem};
-use svc_bench::{cli, harness, publish_paper_grid, ExperimentResult, NUM_PUS, PAPER_SEED};
+use svc_bench::{
+    cli, harness, instruction_budget, publish_paper_grid, spec95_config, ExperimentResult, NUM_PUS,
+    PAPER_SEED,
+};
 use svc_lsq::{LsqConfig, LsqMemory};
-use svc_multiscalar::{Engine, EngineConfig, RunReport};
+use svc_multiscalar::{Engine, RunReport};
 use svc_sim::profile::Profiler;
 use svc_sim::table::{fmt_ipc, Table};
 use svc_types::VersionedMemory;
@@ -45,19 +48,9 @@ impl Design {
 }
 
 fn run<M: VersionedMemory>(mem: M, bench: Spec95, budget: u64, profiler: &Profiler) -> RunReport {
-    let wl = bench.workload(PAPER_SEED);
-    let cfg = EngineConfig {
-        num_pus: NUM_PUS,
-        predictor: wl.profile().predictor(PAPER_SEED),
-        max_instructions: budget,
-        seed: PAPER_SEED,
-        garbage_addr_space: wl.profile().hot_set.max(64),
-        load_dep_frac: wl.profile().load_dep_frac,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(cfg, mem);
+    let mut engine = Engine::new(spec95_config(bench, NUM_PUS, budget, PAPER_SEED), mem);
     engine.set_profiler(profiler.clone());
-    engine.run(&wl)
+    engine.run(&bench.workload(PAPER_SEED))
 }
 
 fn run_cell(bench: Spec95, design: Design, budget: u64) -> ExperimentResult {
@@ -106,10 +99,7 @@ const BENCHES: [Spec95; 3] = [Spec95::Compress, Spec95::Gcc, Spec95::Mgrid];
 
 fn main() {
     cli::parse_profile_flag("motivation");
-    let budget: u64 = std::env::var("SVC_EXPERIMENT_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300_000);
+    let budget = instruction_budget(300_000);
     let mut jobs = Vec::new();
     for bench in BENCHES {
         for design in Design::ALL {

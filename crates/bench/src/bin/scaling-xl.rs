@@ -15,7 +15,8 @@
 //! the PU count (e.g. `SVC-128x8KB`).
 
 use svc_bench::{
-    cli, harness, publish_paper_grid, run_source, MemoryKind, GRID_JOURNAL_ENV, PAPER_SEED,
+    cli, instruction_budget, publish_paper_grid, run_journaled_grid, run_source, spec95_config,
+    GridJob, MemoryKind, PAPER_SEED,
 };
 use svc_multiscalar::EngineConfig;
 use svc_sim::table::{fmt_ipc, fmt_ratio, Table};
@@ -23,59 +24,31 @@ use svc_workloads::Spec95;
 
 const BENCHES: [Spec95; 3] = [Spec95::Gcc, Spec95::Ijpeg, Spec95::Mgrid];
 const PUS: [usize; 3] = [64, 128, 256];
-const MEMORY: MemoryKind = MemoryKind::Svc { kb_per_cache: 8 };
 
 fn main() {
     cli::parse_profile_flag("scaling-xl");
-    let budget: u64 = std::env::var("SVC_EXPERIMENT_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400_000);
+    let budget = instruction_budget(400_000);
     let mut jobs = Vec::new();
     for bench in BENCHES {
-        for pus in PUS {
-            jobs.push((bench, pus));
+        for num_pus in PUS {
+            jobs.push(GridJob {
+                bench,
+                memory: MemoryKind::Svc { kb_per_cache: 8 },
+                num_pus,
+            });
         }
     }
-    let run = |&(bench, pus): &(Spec95, usize), _derived: u64| {
-        let wl = bench.workload(PAPER_SEED);
+    let outcome = run_journaled_grid(&jobs, PAPER_SEED, budget, |job, _derived| {
         let cfg = EngineConfig {
-            num_pus: pus,
-            predictor: wl.profile().predictor(PAPER_SEED),
-            max_instructions: budget,
             // The safety stop must clear a multi-billion-cycle budget:
             // hundreds of PUs on one snooping bus serialize hard, so
-            // cycles per committed instruction ballooon far beyond the
+            // cycles per committed instruction balloon far beyond the
             // small-machine grids.
             max_cycles: u64::MAX / 4,
-            seed: PAPER_SEED,
-            garbage_addr_space: wl.profile().hot_set.max(64),
-            load_dep_frac: wl.profile().load_dep_frac,
-            ..EngineConfig::default()
+            ..spec95_config(job.bench, job.num_pus, budget, PAPER_SEED)
         };
-        run_source(&wl, MEMORY, cfg)
-    };
-    let outcome = match std::env::var_os(GRID_JOURNAL_ENV) {
-        Some(dir) => {
-            let sub = std::path::PathBuf::from(dir)
-                .join(format!("scaling-xl-{PAPER_SEED:016x}-{:03}", jobs.len()));
-            match harness::GridJournal::open(sub, PAPER_SEED) {
-                Ok(journal) => harness::run_grid_resumable(
-                    &jobs,
-                    PAPER_SEED,
-                    harness::threads_from_env(),
-                    &journal,
-                    |&(bench, pus)| format!("{}/SVC-{pus}x8KB", bench.name()),
-                    run,
-                ),
-                Err(e) => {
-                    eprintln!("grid journal unavailable (running without): {e}");
-                    harness::run_grid(&jobs, PAPER_SEED, run)
-                }
-            }
-        }
-        None => harness::run_grid(&jobs, PAPER_SEED, run),
-    };
+        run_source(&job.bench.workload(PAPER_SEED), job.memory, cfg)
+    });
 
     let mut t = Table::new(
         ["bench", "PUs", "IPC", "IPC/PU", "bus util"]

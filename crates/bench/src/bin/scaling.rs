@@ -9,8 +9,7 @@
 //! through the parallel harness and writes `results/scaling.json`; the
 //! memory labels encode the PU count (e.g. `SVC-8x8KB`).
 
-use svc_bench::{cli, harness, publish_paper_grid, run_source, MemoryKind, PAPER_SEED};
-use svc_multiscalar::EngineConfig;
+use svc_bench::{cli, instruction_budget, publish_paper_grid, run_paper_grid, GridJob, MemoryKind};
 use svc_sim::table::{fmt_ipc, fmt_ratio, Table};
 use svc_workloads::Spec95;
 
@@ -26,31 +25,20 @@ const MEMORIES: [MemoryKind; 2] = [
 
 fn main() {
     cli::parse_profile_flag("scaling");
-    let budget: u64 = std::env::var("SVC_EXPERIMENT_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300_000);
+    let budget = instruction_budget(300_000);
     let mut jobs = Vec::new();
     for bench in BENCHES {
-        for pus in PUS {
+        for num_pus in PUS {
             for memory in MEMORIES {
-                jobs.push((bench, pus, memory));
+                jobs.push(GridJob {
+                    bench,
+                    memory,
+                    num_pus,
+                });
             }
         }
     }
-    let outcome = harness::run_grid(&jobs, PAPER_SEED, |&(bench, pus, memory), _derived| {
-        let wl = bench.workload(PAPER_SEED);
-        let cfg = EngineConfig {
-            num_pus: pus,
-            predictor: wl.profile().predictor(PAPER_SEED),
-            max_instructions: budget,
-            seed: PAPER_SEED,
-            garbage_addr_space: wl.profile().hot_set.max(64),
-            load_dep_frac: wl.profile().load_dep_frac,
-            ..EngineConfig::default()
-        };
-        run_source(&wl, memory, cfg)
-    });
+    let outcome = run_paper_grid(&jobs, budget);
 
     for (bi, bench) in BENCHES.into_iter().enumerate() {
         println!("scaling on {bench}:\n");

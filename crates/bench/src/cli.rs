@@ -77,25 +77,12 @@ pub fn check_io<T>(context: impl fmt::Display, result: std::io::Result<T>) -> T 
     }
 }
 
-/// Rejects any command-line arguments with [`EXIT_USAGE`]: the
-/// experiment binaries are configured purely by environment
-/// (`SVC_EXPERIMENT_BUDGET`, `SVC_THREADS`, …), so a stray flag is a
-/// usage error, not something to silently ignore.
-pub fn reject_args(name: &str) {
-    if let Some(arg) = std::env::args().nth(1) {
-        eprintln!(
-            "usage error: {name} takes no arguments (got {arg:?}); \
-             configure it via SVC_EXPERIMENT_BUDGET / SVC_THREADS"
-        );
-        std::process::exit(i32::from(EXIT_USAGE));
-    }
-}
-
-/// Like [`reject_args`], but accepts the one flag the experiment
-/// binaries share: `--profile`, which enables the cycle-accounting
-/// profiler (equivalent to `SVC_PROFILE=1`) and makes the binary write
-/// `results/<name>.profile.json` next to its experiment document.
-/// Anything else exits with [`EXIT_USAGE`].
+/// Parses the one flag the experiment binaries accept: `--profile`,
+/// which enables the cycle-accounting profiler (equivalent to
+/// `SVC_PROFILE=1`) and makes the binary write
+/// `results/<name>.profile.json` next to each experiment document. The
+/// binaries are otherwise configured by environment, so anything else
+/// exits with [`EXIT_USAGE`] rather than being silently ignored.
 pub fn parse_profile_flag(name: &str) {
     for arg in std::env::args().skip(1) {
         if arg == "--profile" {
@@ -103,7 +90,7 @@ pub fn parse_profile_flag(name: &str) {
         } else {
             eprintln!(
                 "usage error: {name} takes only --profile (got {arg:?}); \
-                 configure it via SVC_EXPERIMENT_BUDGET / SVC_THREADS / SVC_PROFILE"
+                 configure it via SVC_EXPERIMENT_BUDGET / SVC_EXPERIMENT_THREADS / SVC_PROFILE"
             );
             std::process::exit(i32::from(EXIT_USAGE));
         }
@@ -136,10 +123,10 @@ mod tests {
     #[test]
     fn io_wrapper_keeps_context() {
         let e = CliError::io(
-            "results/table2.json",
+            "results/fig19.json",
             std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),
         );
         let s = format!("{e}");
-        assert!(s.contains("results/table2.json") && s.contains("gone"));
+        assert!(s.contains("results/fig19.json") && s.contains("gone"));
     }
 }

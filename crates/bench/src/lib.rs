@@ -1,17 +1,18 @@
 //! The experiment harness: one function per metric the paper reports,
-//! shared by the table/figure binaries (`table2`, `table3`, `fig19`,
-//! `fig20`, the ablations) and the Criterion benches.
+//! shared by the experiment binaries (`paper`, the ablations, the
+//! scaling studies) and the Criterion benches.
 //!
 //! Every experiment builds a memory system ([`MemoryKind`]), runs a
 //! [`Spec95`] workload (or a kernel) on the multiscalar engine for a
 //! committed-instruction budget, and reports the paper's metrics: IPC
 //! (Figures 19/20), miss ratio (Table 2) and snooping-bus utilization
-//! (Table 3).
+//! (Table 3). The [`paper`] module holds the paper's grid and renders
+//! every table and figure from it.
 //!
-//! The default budget is 400k committed instructions per run — the
-//! paper's 200M scaled to laptop time; override with the
-//! `SVC_EXPERIMENT_BUDGET` environment variable (the shapes are stable
-//! well below the default, see EXPERIMENTS.md).
+//! The paper grid's budget is 400k committed instructions per run
+//! ([`PAPER_BUDGET`]) — the paper's 200M scaled to laptop time; override
+//! with the `SVC_EXPERIMENT_BUDGET` environment variable (the shapes are
+//! stable well below the default, see EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,9 +20,11 @@
 pub mod checkgate;
 pub mod cli;
 pub mod harness;
+pub mod paper;
 pub mod report;
 pub mod soak;
 
+use std::path::PathBuf;
 use svc::{SvcConfig, SvcSystem};
 use svc_arb::{ArbConfig, ArbSystem};
 use svc_multiscalar::{Engine, EngineConfig, RunReport, TaskSource};
@@ -140,13 +143,16 @@ impl ExperimentResult {
 /// The number of processing units used throughout the evaluation (§4.2).
 pub const NUM_PUS: usize = 4;
 
-/// Committed-instruction budget per run, overridable via
-/// `SVC_EXPERIMENT_BUDGET`.
-pub fn instruction_budget() -> u64 {
+/// The paper grid's committed-instruction budget per run.
+pub const PAPER_BUDGET: u64 = 400_000;
+
+/// Committed-instruction budget per run: `SVC_EXPERIMENT_BUDGET` if it
+/// parses, otherwise the calling binary's `default`.
+pub fn instruction_budget(default: u64) -> u64 {
     std::env::var("SVC_EXPERIMENT_BUDGET")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(400_000)
+        .unwrap_or(default)
 }
 
 /// Invariant-watchdog cadence from `SVC_WATCHDOG`: unset/`0` disables
@@ -404,32 +410,47 @@ pub fn profile_counter_series(p: &ProfileReport) -> Vec<(String, Vec<(u64, f64)>
     ]
 }
 
-/// Runs one SPEC95 benchmark model on `memory` with the default budget
-/// and seed.
-pub fn run_spec95(bench: Spec95, memory: MemoryKind) -> ExperimentResult {
-    run_spec95_with(bench, memory, instruction_budget(), 42)
+/// The engine configuration of a SPEC95 cell: `num_pus` PUs with the
+/// model's predictor and load-dependence fraction, `budget` committed
+/// instructions at `seed`, and the engine's default safety stop.
+pub fn spec95_config(bench: Spec95, num_pus: usize, budget: u64, seed: u64) -> EngineConfig {
+    let profile = bench.profile();
+    EngineConfig {
+        num_pus,
+        predictor: profile.predictor(seed),
+        max_instructions: budget,
+        seed,
+        // Wrong-path work touches warm program data (the hot region),
+        // as real wrong-path execution does — not a cold private region.
+        garbage_addr_space: profile.hot_set.max(64),
+        load_dep_frac: profile.load_dep_frac,
+        ..EngineConfig::default()
+    }
 }
 
-/// Runs one SPEC95 benchmark model with an explicit budget and seed.
+/// Runs one SPEC95 benchmark model on the paper's [`NUM_PUS`] PUs with
+/// an explicit budget and seed.
 pub fn run_spec95_with(
     bench: Spec95,
     memory: MemoryKind,
     budget: u64,
     seed: u64,
 ) -> ExperimentResult {
-    let wl = bench.workload(seed);
-    let cfg = EngineConfig {
-        num_pus: NUM_PUS,
-        predictor: wl.profile().predictor(seed),
-        max_instructions: budget,
+    run_job(
+        &GridJob {
+            bench,
+            memory,
+            num_pus: NUM_PUS,
+        },
+        budget,
         seed,
-        // Wrong-path work touches warm program data (the hot region),
-        // as real wrong-path execution does — not a cold private region.
-        garbage_addr_space: wl.profile().hot_set.max(64),
-        load_dep_frac: wl.profile().load_dep_frac,
-        ..EngineConfig::default()
-    };
-    run_source(&wl, memory, cfg)
+    )
+}
+
+/// Runs one grid cell under [`spec95_config`].
+fn run_job(job: &GridJob, budget: u64, seed: u64) -> ExperimentResult {
+    let cfg = spec95_config(job.bench, job.num_pus, budget, seed);
+    run_source(&job.bench.workload(seed), job.memory, cfg)
 }
 
 /// The seed every paper-artifact binary pins. The workload profiles are
@@ -447,42 +468,69 @@ pub struct GridJob {
     pub bench: Spec95,
     /// The memory system to run it on.
     pub memory: MemoryKind,
+    /// Processing units ([`NUM_PUS`] except in the scaling studies).
+    pub num_pus: usize,
 }
 
-/// The cartesian product `benches × memories`, in row-major order
-/// (all memories for the first benchmark, then the next benchmark).
+/// The cartesian product `benches × memories` on [`NUM_PUS`] PUs, in
+/// row-major order (all memories for the first benchmark, then the
+/// next benchmark).
 pub fn cross(benches: &[Spec95], memories: &[MemoryKind]) -> Vec<GridJob> {
     let mut jobs = Vec::with_capacity(benches.len() * memories.len());
     for &bench in benches {
         for &memory in memories {
-            jobs.push(GridJob { bench, memory });
+            jobs.push(GridJob {
+                bench,
+                memory,
+                num_pus: NUM_PUS,
+            });
         }
     }
     jobs
 }
 
 /// Env var naming a directory for the grid-cell journal. When set, the
-/// standard grids ([`run_paper_grid`] / [`run_derived_grid`]) journal
-/// every finished cell there and, on a re-run after an interruption,
-/// restart from the completed cells instead of re-simulating them.
-pub const GRID_JOURNAL_ENV: &str = "SVC_GRID_JOURNAL";
+/// standard grids ([`run_journaled_grid`]) journal every finished cell
+/// there and, on a re-run after an interruption, restart from the
+/// completed cells instead of re-simulating them.
+const GRID_JOURNAL_ENV: &str = "SVC_GRID_JOURNAL";
 
-/// One cell's validation label inside the journal (workload + memory).
-fn grid_cell_label(job: &GridJob) -> String {
-    format!("{}/{}", job.bench.name(), job.memory.label(NUM_PUS))
+/// One cell's validation label inside the journal: workload, memory
+/// (whose label carries the PU count) and budget, so a journal left by
+/// a run at another budget re-runs its cells instead of serving them.
+fn grid_cell_label(job: &GridJob, budget: u64) -> String {
+    format!(
+        "{}/{}@{budget}",
+        job.bench.name(),
+        job.memory.label(job.num_pus)
+    )
 }
 
-/// Runs a standard experiment grid, through the cell journal when
-/// `SVC_GRID_JOURNAL` is set (separate per-grid subdirectories keyed by
-/// grid seed and shape, so one journal directory serves many grids).
-fn run_experiment_grid(
+/// Runs a standard experiment grid of `budget`-instruction cells,
+/// through the cell journal when `SVC_GRID_JOURNAL` is set (separate
+/// per-grid subdirectories keyed by grid seed and shape, so one journal
+/// directory serves many grids).
+pub fn run_journaled_grid(
     jobs: &[GridJob],
     grid_seed: u64,
+    budget: u64,
     run: impl Fn(&GridJob, u64) -> ExperimentResult + Sync,
 ) -> harness::GridOutcome<ExperimentResult> {
-    if let Some(dir) = std::env::var_os(GRID_JOURNAL_ENV) {
-        let sub =
-            std::path::PathBuf::from(dir).join(format!("grid-{grid_seed:016x}-{:03}", jobs.len()));
+    let dir = std::env::var_os(GRID_JOURNAL_ENV).map(PathBuf::from);
+    run_grid_journaled_in(dir, jobs, grid_seed, budget, run)
+}
+
+/// [`run_journaled_grid`] with the journal directory given (`None`:
+/// a plain run).
+fn run_grid_journaled_in(
+    dir: Option<PathBuf>,
+    jobs: &[GridJob],
+    grid_seed: u64,
+    budget: u64,
+    run: impl Fn(&GridJob, u64) -> ExperimentResult + Sync,
+) -> harness::GridOutcome<ExperimentResult> {
+    if let Some(dir) = dir {
+        let sub = dir.join(format!("grid-{grid_seed:016x}-{:03}", jobs.len()));
         match harness::GridJournal::open(sub, grid_seed) {
             Ok(journal) => {
                 return harness::run_grid_resumable(
@@ -490,7 +538,7 @@ fn run_experiment_grid(
                     grid_seed,
                     harness::threads_from_env(),
                     &journal,
-                    grid_cell_label,
+                    |job| grid_cell_label(job, budget),
                     run,
                 )
             }
@@ -504,8 +552,8 @@ fn run_experiment_grid(
 /// Runs a grid in parallel with every cell pinned to [`PAPER_SEED`]
 /// (the paper-artifact path; see [`PAPER_SEED`] for why).
 pub fn run_paper_grid(jobs: &[GridJob], budget: u64) -> harness::GridOutcome<ExperimentResult> {
-    run_experiment_grid(jobs, PAPER_SEED, |job, _derived| {
-        run_spec95_with(job.bench, job.memory, budget, PAPER_SEED)
+    run_journaled_grid(jobs, PAPER_SEED, budget, |job, _derived| {
+        run_job(job, budget, PAPER_SEED)
     })
 }
 
@@ -516,8 +564,8 @@ pub fn run_derived_grid(
     grid_seed: u64,
     budget: u64,
 ) -> harness::GridOutcome<ExperimentResult> {
-    run_experiment_grid(jobs, grid_seed, |job, seed| {
-        run_spec95_with(job.bench, job.memory, budget, seed)
+    run_journaled_grid(jobs, grid_seed, budget, |job, seed| {
+        run_job(job, budget, seed)
     })
 }
 
@@ -537,7 +585,7 @@ pub fn run_derived_grid_failsafe(
         harness::threads_from_env(),
         1,
         |job, seed| {
-            let result = run_spec95_with(job.bench, job.memory, budget, seed);
+            let result = run_job(job, budget, seed);
             if result.report.hit_cycle_limit {
                 return Err(harness::JobError::Timeout);
             }
@@ -546,31 +594,48 @@ pub fn run_derived_grid_failsafe(
     )
 }
 
-/// Writes both JSON artifacts for a finished grid: the deterministic
-/// `results/<name>.json` document (cell results under `seeds[i]`) and
-/// the wall-clock entry in the `BENCH_experiments.json` snapshot.
-pub fn publish_grid(
+/// Writes a paper-seeded grid's deterministic documents:
+/// `results/<name>.json` and, if any cell carries a cycle-accounting
+/// profile (i.e. the grid ran under `SVC_PROFILE`),
+/// `results/<name>.profile.json`. With the profiler off no profile
+/// document is written, so unprofiled artifact regeneration leaves the
+/// results directory untouched.
+pub fn write_paper_docs(
     name: &str,
     budget: u64,
-    grid_seed: u64,
-    seeds: &[u64],
+    results: &[ExperimentResult],
+) -> std::io::Result<()> {
+    let runs = results
+        .iter()
+        .map(|r| report::experiment_result_json(r, PAPER_SEED))
+        .collect();
+    let doc = report::experiment_doc(name, budget, PAPER_SEED, runs);
+    report::write_experiment(name, &doc)?;
+    let profiles: Vec<report::Json> = results
+        .iter()
+        .filter_map(|r| {
+            r.profile.as_ref().map(|p| {
+                report::Json::obj()
+                    .set("workload", r.workload.as_str().into())
+                    .set("memory", r.memory.as_str().into())
+                    .set("seed", PAPER_SEED.into())
+                    .set("profile", report::profile_report_json(p))
+            })
+        })
+        .collect();
+    if !profiles.is_empty() {
+        let doc = report::profile_doc(name, budget, PAPER_SEED, profiles);
+        report::write_experiment(&format!("{name}.profile"), &doc)?;
+    }
+    Ok(())
+}
+
+/// Records a finished grid's wall-clock self-measurement as the `name`
+/// entry of the `BENCH_experiments.json` snapshot.
+pub fn record_grid(
+    name: &str,
     outcome: &harness::GridOutcome<ExperimentResult>,
 ) -> std::io::Result<()> {
-    assert_eq!(seeds.len(), outcome.results.len(), "one seed per result");
-    let runs = outcome
-        .results
-        .iter()
-        .zip(seeds)
-        .map(|(r, &s)| report::experiment_result_json(r, s))
-        .collect();
-    let doc = report::experiment_doc(name, budget, grid_seed, runs);
-    report::write_experiment(name, &doc)?;
-    publish_profiles(
-        name,
-        budget,
-        grid_seed,
-        outcome.results.iter().zip(seeds.iter().copied()),
-    )?;
     let m = report::SelfMeasurement::from_reports(
         outcome.results.iter().map(|r| &r.report),
         outcome.wall.as_secs_f64(),
@@ -580,83 +645,16 @@ pub fn publish_grid(
     Ok(())
 }
 
-/// Writes `results/<name>.profile.json` if any cell carries a
-/// cycle-accounting profile (i.e. the grid ran under `SVC_PROFILE`).
-/// With the profiler off this writes nothing, so unprofiled artifact
-/// regeneration leaves the results directory untouched.
-fn publish_profiles<'a>(
-    name: &str,
-    budget: u64,
-    grid_seed: u64,
-    cells: impl Iterator<Item = (&'a ExperimentResult, u64)>,
-) -> std::io::Result<()> {
-    let runs: Vec<report::Json> = cells
-        .filter_map(|(r, seed)| {
-            r.profile.as_ref().map(|p| {
-                report::Json::obj()
-                    .set("workload", r.workload.as_str().into())
-                    .set("memory", r.memory.as_str().into())
-                    .set("seed", seed.into())
-                    .set("profile", report::profile_report_json(p))
-            })
-        })
-        .collect();
-    if runs.is_empty() {
-        return Ok(());
-    }
-    let doc = report::profile_doc(name, budget, grid_seed, runs);
-    report::write_experiment(&format!("{name}.profile"), &doc)?;
-    Ok(())
-}
-
-/// [`publish_grid`] for a failsafe outcome. Healthy grids write
-/// byte-identical `svc-experiments/v1` documents; grids with failed
-/// cells write `svc-experiments/v2` with a `failures` array (failed
-/// cells are absent from `runs` but identifiable by their seed and
-/// grid index in `failures`).
-pub fn publish_grid_failsafe(
-    name: &str,
-    budget: u64,
-    grid_seed: u64,
-    seeds: &[u64],
-    outcome: &harness::FailsafeOutcome<ExperimentResult>,
-) -> std::io::Result<()> {
-    assert_eq!(seeds.len(), outcome.results.len(), "one seed per cell");
-    let runs = outcome
-        .results
-        .iter()
-        .zip(seeds)
-        .filter_map(|(r, &s)| r.as_ref().map(|r| report::experiment_result_json(r, s)))
-        .collect();
-    let doc = report::experiment_doc_failsafe(name, budget, grid_seed, runs, &outcome.failures);
-    report::write_experiment(name, &doc)?;
-    publish_profiles(
-        name,
-        budget,
-        grid_seed,
-        outcome
-            .results
-            .iter()
-            .zip(seeds.iter().copied())
-            .filter_map(|(r, s)| r.as_ref().map(|r| (r, s))),
-    )?;
-    let m = report::SelfMeasurement::from_reports(
-        outcome.results.iter().flatten().map(|r| &r.report),
-        outcome.wall.as_secs_f64(),
-        outcome.threads,
-    );
-    report::record_snapshot(name, m)?;
-    Ok(())
-}
-
-/// [`publish_grid`] for paper grids: every seed is [`PAPER_SEED`].
+/// Writes both JSON artifacts for a finished paper-seeded grid: its
+/// documents ([`write_paper_docs`]) and its snapshot entry
+/// ([`record_grid`]).
 pub fn publish_paper_grid(
     name: &str,
     budget: u64,
     outcome: &harness::GridOutcome<ExperimentResult>,
 ) -> std::io::Result<()> {
-    let seeds = vec![PAPER_SEED; outcome.results.len()];
-    publish_grid(name, budget, PAPER_SEED, &seeds, outcome)
+    write_paper_docs(name, budget, &outcome.results)?;
+    record_grid(name, outcome)
 }
 
 #[cfg(test)]
@@ -717,8 +715,33 @@ mod tests {
 
     #[test]
     fn budget_env_override() {
-        // Default without the env var.
+        // The binary's default without the env var.
         std::env::remove_var("SVC_EXPERIMENT_BUDGET");
-        assert_eq!(instruction_budget(), 400_000);
+        assert_eq!(instruction_budget(PAPER_BUDGET), 400_000);
+        assert_eq!(instruction_budget(300_000), 300_000);
+    }
+
+    /// A journal written at one budget serves no cells to a run at
+    /// another: the rerun equals a plain run at the new budget.
+    #[test]
+    fn journaled_grid_reruns_cells_of_another_budget() {
+        let dir = std::env::temp_dir().join(format!("svc-grid-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let jobs = cross(&[Spec95::Ijpeg], &[MemoryKind::Svc { kb_per_cache: 8 }]);
+        let journaled = |budget| {
+            run_grid_journaled_in(Some(dir.clone()), &jobs, PAPER_SEED, budget, |job, _| {
+                run_job(job, budget, PAPER_SEED)
+            })
+        };
+        let first = journaled(3_000);
+        let rerun = journaled(5_000);
+        let plain = run_grid_journaled_in(None, &jobs, PAPER_SEED, 5_000, |job, _| {
+            run_job(job, 5_000, PAPER_SEED)
+        });
+        assert_eq!(rerun.results, plain.results);
+        assert_ne!(rerun.results, first.results);
+        // Same budget again: every cell comes from the journal.
+        assert_eq!(journaled(5_000).results, plain.results);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1091,8 +1091,8 @@ mod tests {
             sim_cycles: 1000,
             committed_instrs: 500,
         };
-        record_snapshot_at(&path, "table2", slow).expect("write");
-        record_snapshot_at(&path, "fig19", slow).expect("write");
+        record_snapshot_at(&path, "paper", slow).expect("write");
+        record_snapshot_at(&path, "motivation", slow).expect("write");
 
         rotate_snapshot_at(&path).expect("rotate");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
@@ -1102,29 +1102,29 @@ mod tests {
                 .map(<[_]>::len),
             Some(0)
         );
-        assert!(doc.get("previous").and_then(|p| p.get("table2")).is_some());
+        assert!(doc.get("previous").and_then(|p| p.get("paper")).is_some());
 
         // A 2x-faster rerun of one experiment: per-experiment and
-        // aggregate speedups are both 2 (fig19 has no current entry yet,
+        // aggregate speedups are both 2 (motivation has no current entry yet,
         // so it drops out of the common set).
         let fast = SelfMeasurement {
             wall_s: 1.0,
             ..slow
         };
-        record_snapshot_at(&path, "table2", fast).expect("write");
+        record_snapshot_at(&path, "paper", fast).expect("write");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         let speedup = doc.get("speedup").expect("speedup");
         assert_eq!(speedup.get("aggregate").and_then(Json::as_f64), Some(2.0));
         assert_eq!(
             speedup
                 .get("per_experiment")
-                .and_then(|p| p.get("table2"))
+                .and_then(|p| p.get("paper"))
                 .and_then(Json::as_f64),
             Some(2.0)
         );
         assert!(speedup
             .get("per_experiment")
-            .and_then(|p| p.get("fig19"))
+            .and_then(|p| p.get("motivation"))
             .is_none());
 
         // Rotating again promotes the fresh sweep and drops speedup.
@@ -1133,7 +1133,7 @@ mod tests {
         assert!(doc.get("speedup").is_none());
         assert_eq!(
             doc.get("previous")
-                .and_then(|p| p.get("table2"))
+                .and_then(|p| p.get("paper"))
                 .and_then(|t| t.get("wall_s"))
                 .and_then(Json::as_f64),
             Some(1.0)
@@ -1163,11 +1163,11 @@ mod tests {
             .set("host_cores", 1.0.into());
         let v2 = Json::obj()
             .set("schema", "svc-bench-snapshot/v2".into())
-            .set("experiments", Json::obj().set("table2", v2_entry));
+            .set("experiments", Json::obj().set("paper", v2_entry));
         let v3 = Json::obj()
             .set("schema", SCHEMA_SNAPSHOT.into())
-            .set("experiments", Json::obj().set("table2", v3_entry.clone()))
-            .set("previous", Json::obj().set("table2", v3_entry));
+            .set("experiments", Json::obj().set("paper", v3_entry.clone()))
+            .set("previous", Json::obj().set("paper", v3_entry));
         let fast = SelfMeasurement {
             wall_s: 1.0,
             threads: 1,
@@ -1188,19 +1188,16 @@ mod tests {
                 Some(SCHEMA_SNAPSHOT)
             );
             assert_eq!(
-                doc.get("previous").and_then(|p| p.get("table2")),
-                seed.get("experiments").and_then(|e| e.get("table2"))
+                doc.get("previous").and_then(|p| p.get("paper")),
+                seed.get("experiments").and_then(|e| e.get("paper"))
             );
 
             // A fresh measurement computes its speedup against the old
             // baseline (readers only touch the fields every schema
             // shares) and writes no lane count.
-            record_snapshot_at(&path, "table2", fast).expect("record v3");
+            record_snapshot_at(&path, "paper", fast).expect("record v3");
             let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-            let entry = doc
-                .get("experiments")
-                .and_then(|e| e.get("table2"))
-                .unwrap();
+            let entry = doc.get("experiments").and_then(|e| e.get("paper")).unwrap();
             assert!(entry.get("engine_threads").is_none());
             assert_eq!(entry.get("host_cores").and_then(Json::as_f64), Some(8.0));
             assert_eq!(
@@ -1226,11 +1223,11 @@ mod tests {
             sim_cycles: 1000,
             committed_instrs: 500,
         };
-        record_snapshot_at(&path, "table2", m).expect("write");
-        record_snapshot_at(&path, "fig19", m).expect("write");
+        record_snapshot_at(&path, "paper", m).expect("write");
+        record_snapshot_at(&path, "motivation", m).expect("write");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         let exps = doc.get("experiments").expect("experiments");
-        assert!(exps.get("table2").is_some() && exps.get("fig19").is_some());
+        assert!(exps.get("paper").is_some() && exps.get("motivation").is_some());
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some(SCHEMA_SNAPSHOT)

@@ -1,22 +1,15 @@
 //! Reduced-budget versions of the experiment shape checks that the
-//! `table2`/`table3`/`fig19`/`fig20` binaries assert at full budget —
-//! the robust subset that holds even at a small instruction budget, so
-//! `cargo test` exercises the evaluation pipeline end to end.
+//! `paper` binary asserts at full budget — the robust subset that holds
+//! even at a small instruction budget, so `cargo test` exercises the
+//! evaluation pipeline end to end.
 
 use svc_repro::bench::report::{self, Json};
-use svc_repro::bench::{cross, run_paper_grid, run_spec95_with, MemoryKind, PAPER_SEED};
+use svc_repro::bench::{
+    cross, instruction_budget, run_paper_grid, run_spec95_with, MemoryKind, PAPER_SEED,
+};
 use svc_repro::workloads::Spec95;
 
 const BUDGET: u64 = 60_000;
-
-/// Budget for the harness-driven grids: `SVC_EXPERIMENT_BUDGET` if set,
-/// else a reduced default that still shows the Table 2/3 shapes.
-fn grid_budget(default: u64) -> u64 {
-    std::env::var("SVC_EXPERIMENT_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn arb(bench: Spec95, hit: u64, kb: usize) -> svc_repro::bench::ExperimentResult {
     run_spec95_with(
@@ -81,7 +74,7 @@ fn svc_beats_arb2_on_the_papers_three() {
 #[test]
 fn miss_ratio_gap_directions_match_table2_through_the_harness() {
     // Table 2's grid, driven by the parallel harness exactly as the
-    // `table2` binary drives it. The gap direction needs warm caches to
+    // `paper` binary drives it. The gap direction needs warm caches to
     // show (cold compulsory misses hit the ARB's direct-mapped cache
     // harder), hence the larger default budget.
     let jobs = cross(
@@ -94,7 +87,7 @@ fn miss_ratio_gap_directions_match_table2_through_the_harness() {
             MemoryKind::Svc { kb_per_cache: 8 },
         ],
     );
-    let outcome = run_paper_grid(&jobs, grid_budget(300_000));
+    let outcome = run_paper_grid(&jobs, instruction_budget(300_000));
     for (i, b) in Spec95::ALL.into_iter().enumerate() {
         let a = outcome.results[i * 2].miss_ratio;
         let s = outcome.results[i * 2 + 1].miss_ratio;
@@ -117,7 +110,7 @@ fn bus_utilization_shape_matches_table3_through_the_harness() {
             MemoryKind::Svc { kb_per_cache: 16 },
         ],
     );
-    let outcome = run_paper_grid(&jobs, grid_budget(BUDGET));
+    let outcome = run_paper_grid(&jobs, instruction_budget(BUDGET));
     let util8 = |i: usize| outcome.results[i * 2].bus_utilization;
     let util16 = |i: usize| outcome.results[i * 2 + 1].bus_utilization;
     let mgrid_idx = Spec95::ALL

@@ -73,7 +73,7 @@ fn all_memory_systems_commit_identical_state_on_synthetic_workload() {
 #[test]
 fn spec95_models_run_on_both_memory_systems() {
     // A quick run of each benchmark model on both systems: no panics, all
-    // metrics in range. (The full-budget runs are the fig19/fig20 bins.)
+    // metrics in range. (The full-budget runs are the `paper` binary's.)
     use svc_repro::bench::{run_spec95_with, MemoryKind};
     for b in Spec95::ALL {
         let svc = run_spec95_with(b, MemoryKind::Svc { kb_per_cache: 8 }, 8_000, 3);
