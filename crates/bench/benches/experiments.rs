@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use svc::{IdealMemory, SvcConfig, SvcSystem};
 use svc_arb::{ArbConfig, ArbSystem};
-use svc_bench::{run_spec95_with, MemoryKind};
+use svc_bench::{run_spec95_with, MemoryKind, RunOptions};
 use svc_types::{Addr, Cycle, PuId, TaskId, VersionedMemory, Word};
 use svc_workloads::Spec95;
 
@@ -31,6 +31,7 @@ fn table_2(c: &mut Criterion) {
                     MemoryKind::Svc { kb_per_cache: 8 },
                     BENCH_BUDGET,
                     42,
+                    &RunOptions::default(),
                 ))
             })
         });
@@ -44,6 +45,7 @@ fn table_2(c: &mut Criterion) {
                     },
                     BENCH_BUDGET,
                     42,
+                    &RunOptions::default(),
                 ))
             })
         });
@@ -62,6 +64,7 @@ fn table_3(c: &mut Criterion) {
                     MemoryKind::Svc { kb_per_cache: kb },
                     BENCH_BUDGET,
                     42,
+                    &RunOptions::default(),
                 ))
             })
         });
@@ -83,6 +86,7 @@ fn figure_19(c: &mut Criterion) {
                     },
                     BENCH_BUDGET,
                     42,
+                    &RunOptions::default(),
                 ))
             })
         });
@@ -94,6 +98,7 @@ fn figure_19(c: &mut Criterion) {
                 MemoryKind::Svc { kb_per_cache: 8 },
                 BENCH_BUDGET,
                 42,
+                &RunOptions::default(),
             ))
         })
     });
@@ -113,6 +118,7 @@ fn figure_20(c: &mut Criterion) {
                 },
                 BENCH_BUDGET,
                 42,
+                &RunOptions::default(),
             ))
         })
     });
@@ -123,6 +129,7 @@ fn figure_20(c: &mut Criterion) {
                 MemoryKind::Svc { kb_per_cache: 16 },
                 BENCH_BUDGET,
                 42,
+                &RunOptions::default(),
             ))
         })
     });

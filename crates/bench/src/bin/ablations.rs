@@ -19,10 +19,9 @@
 //! Run all: `cargo run --release -p svc-bench --bin ablations`
 
 use svc::{SvcConfig, SvcSystem};
-use svc_bench::{cli, harness, publish_paper_grid, ExperimentResult, PAPER_SEED};
+use svc_bench::{cli, harness, publish_paper_grid, ExperimentResult, RunOptions, PAPER_SEED};
 use svc_mem::CacheGeometry;
 use svc_multiscalar::{Engine, EngineConfig, PredictorModel, TaskSource};
-use svc_sim::profile::Profiler;
 use svc_workloads::kernels;
 
 /// One ablation arm: a kernel plus an SVC configuration.
@@ -97,12 +96,13 @@ const STUDIES: [(&str, Arm, &str, Arm, &str); 7] = [
     ),
 ];
 
-fn run(
+fn simulate(
     study: &str,
     label: &str,
     cfg: SvcConfig,
     src: &dyn TaskSource,
     mispredict: f64,
+    opts: &RunOptions,
 ) -> ExperimentResult {
     let engine_cfg = EngineConfig {
         num_pus: cfg.num_pus,
@@ -115,7 +115,7 @@ fn run(
         garbage_addr_space: 256,
         ..EngineConfig::default()
     };
-    let profiler = Profiler::from_env(cfg.num_pus);
+    let profiler = opts.profiler(cfg.num_pus);
     let mut system = SvcSystem::new(cfg);
     system.set_profiler(profiler.clone());
     let mut engine = Engine::new(engine_cfg, system);
@@ -132,90 +132,43 @@ fn run(
     }
 }
 
-fn run_arm(study: &str, label: &str, arm: Arm) -> ExperimentResult {
+fn run_arm(study: &str, label: &str, arm: Arm, opts: &RunOptions) -> ExperimentResult {
+    let run = |cfg: SvcConfig, src: &dyn TaskSource, mispredict: f64| {
+        simulate(study, label, cfg, src, mispredict, opts)
+    };
     match arm {
-        Arm::CommitEager => run(
-            study,
-            label,
-            SvcConfig::base(4),
-            &kernels::streaming(800, 8),
-            0.0,
-        ),
-        Arm::CommitLazy => run(
-            study,
-            label,
-            SvcConfig::ec(4),
-            &kernels::streaming(800, 8),
-            0.0,
-        ),
+        Arm::CommitEager => run(SvcConfig::base(4), &kernels::streaming(800, 8), 0.0),
+        Arm::CommitLazy => run(SvcConfig::ec(4), &kernels::streaming(800, 8), 0.0),
         Arm::SquashNoA => {
             let mut no_a = SvcConfig::ec(4);
             no_a.arch_bit = false;
-            run(
-                study,
-                label,
-                no_a,
-                &kernels::readonly_sharing(1500, 48),
-                0.06,
-            )
+            run(no_a, &kernels::readonly_sharing(1500, 48), 0.06)
         }
         Arm::SquashA => run(
-            study,
-            label,
             SvcConfig::ecs(4),
             &kernels::readonly_sharing(1500, 48),
             0.06,
         ),
-        Arm::SnarfOff => run(
-            study,
-            label,
-            SvcConfig::ecs(4),
-            &kernels::readonly_sharing(1500, 48),
-            0.0,
-        ),
-        Arm::SnarfOn => run(
-            study,
-            label,
-            SvcConfig::hr(4),
-            &kernels::readonly_sharing(1500, 48),
-            0.0,
-        ),
+        Arm::SnarfOff => run(SvcConfig::ecs(4), &kernels::readonly_sharing(1500, 48), 0.0),
+        Arm::SnarfOn => run(SvcConfig::hr(4), &kernels::readonly_sharing(1500, 48), 0.0),
         Arm::LineGrain => {
             let mut line_grain = SvcConfig::final_design(4);
             line_grain.geometry = CacheGeometry::new(128, 4, 4, 4); // L/S per line
-            run(
-                study,
-                label,
-                line_grain,
-                &kernels::false_sharing(2000, 4),
-                0.0,
-            )
+            run(line_grain, &kernels::false_sharing(2000, 4), 0.0)
         }
         Arm::WordGrain => {
             let mut word_grain = SvcConfig::final_design(4);
             word_grain.geometry = CacheGeometry::new(128, 4, 4, 1); // L/S per word
-            run(
-                study,
-                label,
-                word_grain,
-                &kernels::false_sharing(2000, 4),
-                0.0,
-            )
+            run(word_grain, &kernels::false_sharing(2000, 4), 0.0)
         }
         // Each PU revisits its own slot every epoch while neighbours'
         // reads flush the committed version in between: retention turns
         // the owner's next-epoch revisit into a local hit.
-        Arm::RetainOff => run(
-            study,
-            label,
-            SvcConfig::ecs(4),
-            &kernels::revisit(2000, 8, 4),
-            0.0,
-        ),
+        Arm::RetainOff => run(SvcConfig::ecs(4), &kernels::revisit(2000, 8, 4), 0.0),
         Arm::RetainOn => {
             let mut retain = SvcConfig::ecs(4);
             retain.retain_flushed = true;
-            run(study, label, retain, &kernels::revisit(2000, 8, 4), 0.0)
+            run(retain, &kernels::revisit(2000, 8, 4), 0.0)
         }
         // The fringe-like pattern (working set larger than the L1s but
         // smaller than an L2) is where a second level pays off. Both
@@ -224,39 +177,19 @@ fn run_arm(study: &str, label: &str, arm: Arm) -> ExperimentResult {
         Arm::L2Flat => {
             let mut flat_cfg = SvcConfig::final_design(4);
             flat_cfg.timing.memory_cycles = 30;
-            run(
-                study,
-                label,
-                flat_cfg,
-                &kernels::pointer_chase(4000, 6, 6000, 5),
-                0.0,
-            )
+            run(flat_cfg, &kernels::pointer_chase(4000, 6, 6000, 5), 0.0)
         }
         Arm::L2On => {
             let mut l2cfg = SvcConfig::final_design(4);
             l2cfg.l2 = Some(svc_mem::L2Config::typical());
-            run(
-                study,
-                label,
-                l2cfg,
-                &kernels::pointer_chase(4000, 6, 6000, 5),
-                0.0,
-            )
+            run(l2cfg, &kernels::pointer_chase(4000, 6, 6000, 5), 0.0)
         }
         Arm::ProtoInv => {
             let mut invalidate = SvcConfig::final_design(4);
             invalidate.hybrid_update = false;
-            run(
-                study,
-                label,
-                invalidate,
-                &kernels::producer_consumer(1200, 10),
-                0.0,
-            )
+            run(invalidate, &kernels::producer_consumer(1200, 10), 0.0)
         }
         Arm::ProtoUpd => run(
-            study,
-            label,
             SvcConfig::final_design(4),
             &kernels::producer_consumer(1200, 10),
             0.0,
@@ -273,15 +206,18 @@ fn show(label: &str, r: &ExperimentResult) {
 }
 
 fn main() {
-    cli::parse_profile_flag("ablations");
+    let opts = cli::experiment_options("ablations");
     let mut jobs = Vec::new();
     for &(study, arm_a, label_a, arm_b, label_b) in &STUDIES {
         jobs.push((study, arm_a, label_a));
         jobs.push((study, arm_b, label_b));
     }
-    let outcome = harness::run_grid(&jobs, PAPER_SEED, |&(study, arm, label), _derived| {
-        run_arm(study, label, arm)
-    });
+    let outcome = harness::run_grid(
+        &jobs,
+        PAPER_SEED,
+        opts.threads,
+        |&(study, arm, label), _derived| run_arm(study, label, arm, &opts),
+    );
 
     let mut failures = 0;
     let mut fail = |cond: bool, msg: &str| {
@@ -348,7 +284,7 @@ fn main() {
 
     cli::check_io(
         "results/ablations.json",
-        publish_paper_grid("ablations", 0, &outcome),
+        publish_paper_grid("ablations", 0, &outcome, &opts),
     );
 
     println!();

@@ -17,6 +17,7 @@
 use std::process::Command;
 use std::time::Instant;
 
+use svc_bench::options::{self, RunOptions};
 use svc_bench::report::{self, Json};
 use svc_bench::{cli, run_spec95_with, MemoryKind, PAPER_SEED};
 use svc_workloads::Spec95;
@@ -27,9 +28,13 @@ const EXPERIMENTS: [&str; 5] = ["motivation", "paper", "scaling", "scaling-xl", 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = RunOptions::parse(options::env).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(i32::from(cli::EXIT_USAGE));
+    });
     match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        [] => full_sweep(),
-        ["--cell"] => cell_probe(),
+        [] => full_sweep(&opts),
+        ["--cell"] => cell_probe(&opts),
         _ => {
             eprintln!(
                 "usage error: bench takes no arguments or --cell (got {args:?}); \
@@ -40,11 +45,11 @@ fn main() {
     }
 }
 
-fn full_sweep() {
-    let snapshot = cli::check_io("rotate snapshot", report::rotate_snapshot());
+fn full_sweep(opts: &RunOptions) {
+    cli::check_io("rotate snapshot", report::rotate_snapshot(&opts.snapshot));
     println!(
         "bench: rotated {} (experiments -> previous)",
-        snapshot.display()
+        opts.snapshot.display()
     );
 
     let exe_dir = std::env::current_exe()
@@ -85,7 +90,7 @@ fn full_sweep() {
         }
     }
 
-    let doc = read_snapshot();
+    let doc = read_snapshot(opts);
     print_trajectory(&doc);
 }
 
@@ -124,14 +129,14 @@ fn print_trajectory(doc: &Json) {
 
 /// One small in-process cell, timed best-of-three: ijpeg on the final
 /// SVC design at a fraction of the default budget.
-fn cell_probe() {
+fn cell_probe(opts: &RunOptions) {
     const BUDGET: u64 = 100_000;
     let memory = MemoryKind::Svc { kb_per_cache: 8 };
     let mut best_cps = 0.0f64;
     let mut cycles = 0u64;
     for _ in 0..3 {
         let started = Instant::now();
-        let result = run_spec95_with(Spec95::Ijpeg, memory, BUDGET, PAPER_SEED);
+        let result = run_spec95_with(Spec95::Ijpeg, memory, BUDGET, PAPER_SEED, opts);
         let wall = started.elapsed().as_secs_f64();
         cycles = result.report.cycles;
         if wall > 0.0 {
@@ -141,7 +146,7 @@ fn cell_probe() {
     println!(
         "bench --cell: ijpeg/SVC-4x8KB {cycles} cycles, best of 3: {best_cps:.0} sim cycles/s"
     );
-    let doc = read_snapshot();
+    let doc = read_snapshot(opts);
     if let Some((cycles_sum, wall_sum)) = snapshot_totals(&doc) {
         let snapshot_cps = cycles_sum / wall_sum;
         println!(
@@ -164,9 +169,8 @@ fn snapshot_totals(doc: &Json) -> Option<(f64, f64)> {
     (wall > 0.0).then_some((cycles, wall))
 }
 
-fn read_snapshot() -> Json {
-    let path = report::snapshot_path();
-    std::fs::read_to_string(&path)
+fn read_snapshot(opts: &RunOptions) -> Json {
+    std::fs::read_to_string(&opts.snapshot)
         .ok()
         .and_then(|text| report::parse(&text).ok())
         .unwrap_or_else(Json::obj)

@@ -16,7 +16,7 @@
 use svc::{SvcConfig, SvcSystem};
 use svc_arb::{ArbConfig, ArbSystem};
 use svc_bench::{
-    cli, harness, instruction_budget, publish_paper_grid, spec95_config, ExperimentResult, NUM_PUS,
+    cli, harness, publish_paper_grid, spec95_config, ExperimentResult, RunOptions, NUM_PUS,
     PAPER_SEED,
 };
 use svc_lsq::{LsqConfig, LsqMemory};
@@ -53,11 +53,11 @@ fn run<M: VersionedMemory>(mem: M, bench: Spec95, budget: u64, profiler: &Profil
     engine.run(&bench.workload(PAPER_SEED))
 }
 
-fn run_cell(bench: Spec95, design: Design, budget: u64) -> ExperimentResult {
+fn run_cell(bench: Spec95, design: Design, budget: u64, opts: &RunOptions) -> ExperimentResult {
     // The LSQ designs predate the profiler's memory-side hooks, so their
     // memory time profiles as generic latency; the ARB and SVC report
     // their full decompositions.
-    let profiler = Profiler::from_env(NUM_PUS);
+    let profiler = opts.profiler(NUM_PUS);
     let report = match design {
         Design::Lsq16 => {
             let small = LsqConfig {
@@ -98,17 +98,20 @@ fn run_cell(bench: Spec95, design: Design, budget: u64) -> ExperimentResult {
 const BENCHES: [Spec95; 3] = [Spec95::Compress, Spec95::Gcc, Spec95::Mgrid];
 
 fn main() {
-    cli::parse_profile_flag("motivation");
-    let budget = instruction_budget(300_000);
+    let opts = cli::experiment_options("motivation");
+    let budget = opts.budget.unwrap_or(300_000);
     let mut jobs = Vec::new();
     for bench in BENCHES {
         for design in Design::ALL {
             jobs.push((bench, design));
         }
     }
-    let outcome = harness::run_grid(&jobs, PAPER_SEED, |&(bench, design), _derived| {
-        run_cell(bench, design, budget)
-    });
+    let outcome = harness::run_grid(
+        &jobs,
+        PAPER_SEED,
+        opts.threads,
+        |&(bench, design), _derived| run_cell(bench, design, budget, &opts),
+    );
 
     let mut t = Table::new(
         ["bench", "LSQ-16", "LSQ-64", "ARB-2c", "SVC", "LSQ16 stalls"]
@@ -138,7 +141,7 @@ fn main() {
     println!("ARB-2c: contention-free shared buffer, 2-cycle hits; SVC: 4x8KB.");
     cli::check_io(
         "results/motivation.json",
-        publish_paper_grid("motivation", budget, &outcome),
+        publish_paper_grid("motivation", budget, &outcome, &opts),
     );
     std::process::exit(i32::from(!ok));
 }

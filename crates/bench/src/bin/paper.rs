@@ -8,25 +8,26 @@
 //!
 //! Run: `cargo run --release -p svc-bench --bin paper`
 
-use svc_bench::{
-    cli, instruction_budget, paper, record_grid, run_paper_grid, write_paper_docs, PAPER_BUDGET,
-};
+use svc_bench::{cli, paper, record_grid, run_paper_grid, write_paper_docs, PAPER_BUDGET};
 
 fn main() {
-    cli::parse_profile_flag("paper");
-    let budget = instruction_budget(PAPER_BUDGET);
-    let outcome = run_paper_grid(&paper::grid(), budget);
+    let opts = cli::experiment_options("paper");
+    let budget = opts.budget.unwrap_or(PAPER_BUDGET);
+    let outcome = run_paper_grid(&paper::grid(), budget, &opts);
     let (text, ok) = paper::render(&outcome.results);
     print!("{text}");
     let (fig19, fig20) = outcome.results.split_at(paper::FIGURE_CELLS);
     cli::check_io(
         "results/fig19.json",
-        write_paper_docs("fig19", budget, fig19),
+        write_paper_docs("fig19", budget, fig19, &opts),
     );
     cli::check_io(
         "results/fig20.json",
-        write_paper_docs("fig20", budget, fig20),
+        write_paper_docs("fig20", budget, fig20, &opts),
     );
-    cli::check_io("BENCH_experiments.json", record_grid("paper", &outcome));
+    cli::check_io(
+        "BENCH_experiments.json",
+        record_grid("paper", &outcome, &opts),
+    );
     std::process::exit(i32::from(!ok));
 }

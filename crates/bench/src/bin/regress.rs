@@ -36,6 +36,7 @@
 use std::process::ExitCode;
 
 use svc_bench::cli::CliError;
+use svc_bench::options::{self, RunOptions};
 use svc_bench::report::{self, Json};
 use svc_bench::{cross, run_derived_grid_failsafe, MemoryKind};
 use svc_workloads::Spec95;
@@ -74,24 +75,24 @@ const TOLERANCES: [(&str, f64, f64); 7] = [
     ("mshr_combine_rate", 0.0, 1e-9),
 ];
 
-fn baseline_path() -> std::path::PathBuf {
+fn baseline_path(opts: &RunOptions) -> std::path::PathBuf {
     std::env::var_os("SVC_BASELINE")
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| report::results_dir().join("baseline.json"))
+        .unwrap_or_else(|| opts.results_dir.join("baseline.json"))
 }
 
-fn check_path() -> std::path::PathBuf {
+fn check_path(opts: &RunOptions) -> std::path::PathBuf {
     std::env::var_os("SVC_CHECK_BASELINE")
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| report::results_dir().join("check.json"))
+        .unwrap_or_else(|| opts.results_dir.join("check.json"))
 }
 
 /// Runs the model checker and diffs the explored counts against the
 /// pinned `results/check.json`. Returns the number of drift complaints
 /// (already printed); a property violation is fatal.
-fn check_gate() -> Result<usize, CliError> {
+fn check_gate(opts: &RunOptions) -> Result<usize, CliError> {
     let fresh = svc_bench::checkgate::fresh_check_doc().map_err(CliError::Invariant)?;
-    let path = check_path();
+    let path = check_path(opts);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         CliError::io(
             format!(
@@ -119,9 +120,9 @@ struct Fresh {
     failures: Vec<svc_bench::harness::JobFailure>,
 }
 
-fn fresh_doc() -> Fresh {
+fn fresh_doc(opts: &RunOptions) -> Fresh {
     let jobs = cross(&BENCHES, &MEMORIES);
-    let outcome = run_derived_grid_failsafe(&jobs, GRID_SEED, BUDGET);
+    let outcome = run_derived_grid_failsafe(&jobs, GRID_SEED, BUDGET, opts);
     let seeds = svc_bench::harness::job_seeds(GRID_SEED, jobs.len());
     let runs = outcome
         .results
@@ -143,9 +144,9 @@ fn run_key(run: &Json) -> String {
     )
 }
 
-fn run(update: bool) -> Result<ExitCode, CliError> {
-    let path = baseline_path();
-    let fresh = fresh_doc();
+fn run(update: bool, opts: &RunOptions) -> Result<ExitCode, CliError> {
+    let path = baseline_path(opts);
+    let fresh = fresh_doc(opts);
 
     // Cells that never produced metrics: report them regardless of mode.
     // `FAILED` is a different statement than `DRIFT` — the simulator
@@ -183,7 +184,7 @@ fn run(update: bool) -> Result<ExitCode, CliError> {
             .map_err(|e| CliError::io(path.display(), e))?;
         println!("baseline updated: {}", path.display());
         let check_doc = svc_bench::checkgate::fresh_check_doc().map_err(CliError::Invariant)?;
-        let cpath = check_path();
+        let cpath = check_path(opts);
         svc_bench::report::write_atomic(&cpath, check_doc.render().as_bytes())
             .map_err(|e| CliError::io(cpath.display(), e))?;
         println!("check baseline updated: {}", cpath.display());
@@ -246,7 +247,7 @@ fn run(update: bool) -> Result<ExitCode, CliError> {
         }
     }
     // Exhaustive model-check gate: explored counts are pinned exactly.
-    drifted += check_gate()?;
+    drifted += check_gate(opts)?;
 
     // Failed cells are absent from `runs`, so only flag a shape mismatch
     // the failures don't already explain.
@@ -297,7 +298,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    match run(update) {
+    match RunOptions::parse(options::env).and_then(|opts| run(update, &opts)) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("{e}");

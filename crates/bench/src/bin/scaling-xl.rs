@@ -15,8 +15,8 @@
 //! the PU count (e.g. `SVC-128x8KB`).
 
 use svc_bench::{
-    cli, instruction_budget, publish_paper_grid, run_journaled_grid, run_source, spec95_config,
-    GridJob, MemoryKind, PAPER_SEED,
+    cli, publish_paper_grid, run_journaled_grid, run_source, spec95_config, GridJob, MemoryKind,
+    PAPER_SEED,
 };
 use svc_multiscalar::EngineConfig;
 use svc_sim::table::{fmt_ipc, fmt_ratio, Table};
@@ -26,8 +26,8 @@ const BENCHES: [Spec95; 3] = [Spec95::Gcc, Spec95::Ijpeg, Spec95::Mgrid];
 const PUS: [usize; 3] = [64, 128, 256];
 
 fn main() {
-    cli::parse_profile_flag("scaling-xl");
-    let budget = instruction_budget(400_000);
+    let opts = cli::experiment_options("scaling-xl");
+    let budget = opts.budget.unwrap_or(400_000);
     let mut jobs = Vec::new();
     for bench in BENCHES {
         for num_pus in PUS {
@@ -38,7 +38,7 @@ fn main() {
             });
         }
     }
-    let outcome = run_journaled_grid(&jobs, PAPER_SEED, budget, |job, _derived| {
+    let outcome = run_journaled_grid(&jobs, PAPER_SEED, budget, &opts, |job, _derived| {
         let cfg = EngineConfig {
             // The safety stop must clear a multi-billion-cycle budget:
             // hundreds of PUs on one snooping bus serialize hard, so
@@ -47,7 +47,7 @@ fn main() {
             max_cycles: u64::MAX / 4,
             ..spec95_config(job.bench, job.num_pus, budget, PAPER_SEED)
         };
-        run_source(&job.bench.workload(PAPER_SEED), job.memory, cfg)
+        run_source(&job.bench.workload(PAPER_SEED), job.memory, cfg, &opts)
     });
 
     let mut t = Table::new(
@@ -74,6 +74,6 @@ fn main() {
     println!("bus bottleneck, measured instead of argued.");
     cli::check_io(
         "results/scaling-xl.json",
-        publish_paper_grid("scaling-xl", budget, &outcome),
+        publish_paper_grid("scaling-xl", budget, &outcome, &opts),
     );
 }

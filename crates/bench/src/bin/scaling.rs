@@ -9,7 +9,7 @@
 //! through the parallel harness and writes `results/scaling.json`; the
 //! memory labels encode the PU count (e.g. `SVC-8x8KB`).
 
-use svc_bench::{cli, instruction_budget, publish_paper_grid, run_paper_grid, GridJob, MemoryKind};
+use svc_bench::{cli, publish_paper_grid, run_paper_grid, GridJob, MemoryKind};
 use svc_sim::table::{fmt_ipc, fmt_ratio, Table};
 use svc_workloads::Spec95;
 
@@ -24,8 +24,8 @@ const MEMORIES: [MemoryKind; 2] = [
 ];
 
 fn main() {
-    cli::parse_profile_flag("scaling");
-    let budget = instruction_budget(300_000);
+    let opts = cli::experiment_options("scaling");
+    let budget = opts.budget.unwrap_or(300_000);
     let mut jobs = Vec::new();
     for bench in BENCHES {
         for num_pus in PUS {
@@ -38,7 +38,7 @@ fn main() {
             }
         }
     }
-    let outcome = run_paper_grid(&jobs, budget);
+    let outcome = run_paper_grid(&jobs, budget, &opts);
 
     for (bi, bench) in BENCHES.into_iter().enumerate() {
         println!("scaling on {bench}:\n");
@@ -67,6 +67,6 @@ fn main() {
     println!("against the ARB's latency ceiling.");
     cli::check_io(
         "results/scaling.json",
-        publish_paper_grid("scaling", budget, &outcome),
+        publish_paper_grid("scaling", budget, &outcome, &opts),
     );
 }

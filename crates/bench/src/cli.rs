@@ -13,6 +13,8 @@
 use std::fmt;
 use std::process::ExitCode;
 
+use crate::RunOptions;
+
 /// Exit code for usage errors (bad flags, unknown subcommands).
 pub const EXIT_USAGE: u8 = 2;
 /// Exit code for I/O errors (results dir, baselines, trace sinks).
@@ -77,16 +79,18 @@ pub fn check_io<T>(context: impl fmt::Display, result: std::io::Result<T>) -> T 
     }
 }
 
-/// Parses the one flag the experiment binaries accept: `--profile`,
-/// which enables the cycle-accounting profiler (equivalent to
-/// `SVC_PROFILE=1`) and makes the binary write
-/// `results/<name>.profile.json` next to each experiment document. The
-/// binaries are otherwise configured by environment, so anything else
-/// exits with [`EXIT_USAGE`] rather than being silently ignored.
-pub fn parse_profile_flag(name: &str) {
+/// Resolves an experiment binary's [`RunOptions`] from its command line
+/// and the environment ([`options::env`](crate::options::env)). The one
+/// flag is `--profile`, which answers `SVC_PROFILE=1`: it enables the
+/// cycle-accounting profiler and makes the binary write
+/// `results/<name>.profile.json` next to each experiment document. Any
+/// other argument, or a malformed variable, exits with [`EXIT_USAGE`]
+/// rather than being silently ignored.
+pub fn experiment_options(name: &str) -> RunOptions {
+    let mut profile = false;
     for arg in std::env::args().skip(1) {
         if arg == "--profile" {
-            std::env::set_var("SVC_PROFILE", "1");
+            profile = true;
         } else {
             eprintln!(
                 "usage error: {name} takes only --profile (got {arg:?}); \
@@ -95,6 +99,14 @@ pub fn parse_profile_flag(name: &str) {
             std::process::exit(i32::from(EXIT_USAGE));
         }
     }
+    let lookup = |knob: &str| match knob {
+        "SVC_PROFILE" if profile => Some("1".to_string()),
+        _ => crate::options::env(knob),
+    };
+    RunOptions::parse(lookup).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(i32::from(EXIT_USAGE));
+    })
 }
 
 /// Standard `main` tail: prints the error to stderr and converts it to

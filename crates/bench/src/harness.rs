@@ -15,9 +15,10 @@
 //!   route to the perf snapshot (`BENCH_experiments.json`), never into
 //!   the deterministic `results/*.json` artifacts.
 //!
-//! Thread count comes from `SVC_EXPERIMENT_THREADS` (or the machine's
-//! available parallelism). `SVC_EXPERIMENT_THREADS=1` reproduces the
-//! serial seed-repo behavior exactly.
+//! The caller passes the thread count (binaries take it from
+//! [`RunOptions::threads`](crate::RunOptions::threads),
+//! `SVC_EXPERIMENT_THREADS`); one thread reproduces the serial seed-repo
+//! behavior exactly.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,20 +38,6 @@ pub struct GridOutcome<R> {
     pub wall: Duration,
 }
 
-/// Worker-thread count: `SVC_EXPERIMENT_THREADS` if set and positive,
-/// otherwise the machine's available parallelism, otherwise 1.
-pub fn threads_from_env() -> usize {
-    std::env::var("SVC_EXPERIMENT_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
 /// The per-job seed stream: job `i` gets the `i+1`-th output of a
 /// [`SplitMix64`] seeded with `grid_seed`. A pure function of
 /// `(grid_seed, i)`, so any thread count yields identical seeds.
@@ -59,34 +46,15 @@ pub fn job_seeds(grid_seed: u64, n: usize) -> Vec<u64> {
     (0..n).map(|_| g.next_u64()).collect()
 }
 
-/// Runs `run(job, derived_seed)` for every job across
-/// [`threads_from_env`] workers. See [`run_grid_with_threads`].
-pub fn run_grid<J, R, F>(jobs: &[J], grid_seed: u64, run: F) -> GridOutcome<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J, u64) -> R + Sync,
-{
-    run_grid_with_threads(jobs, grid_seed, threads_from_env(), run)
-}
-
-/// Runs the grid on an explicit number of worker threads.
-///
-/// Jobs are claimed from a shared counter (dynamic load balancing — grid
-/// cells vary widely in simulation time), executed with their
-/// index-derived seed, and stored into their own slot. The returned
-/// `results` are byte-identical for any `threads >= 1`.
+/// Runs `run(job, derived_seed)` for every job across `threads` worker
+/// threads. Each job runs with its index-derived seed and lands in its
+/// own slot, so `results` are byte-identical for any `threads >= 1`.
 ///
 /// # Panics
 ///
 /// A panicking job panics the harness (via scope join), so a failing
 /// experiment still fails its binary.
-pub fn run_grid_with_threads<J, R, F>(
-    jobs: &[J],
-    grid_seed: u64,
-    threads: usize,
-    run: F,
-) -> GridOutcome<R>
+pub fn run_grid<J, R, F>(jobs: &[J], grid_seed: u64, threads: usize, run: F) -> GridOutcome<R>
 where
     J: Sync,
     R: Send,
@@ -94,17 +62,35 @@ where
 {
     let started = Instant::now();
     let seeds = job_seeds(grid_seed, jobs.len());
-    let workers = threads.clamp(1, jobs.len().max(1));
+    let (slots, workers) = fan_out(jobs.len(), threads, |i| run(&jobs[i], seeds[i]));
+    GridOutcome {
+        results: unwrap_slots(slots),
+        threads: workers,
+        wall: started.elapsed(),
+    }
+}
+
+/// Runs `f(i)` for every `i < n` on up to `threads` scoped workers that
+/// claim indices from a shared counter (dynamic load balancing — grid
+/// cells vary widely in simulation time). Returns each index's result in
+/// index order (`None` where a worker died before storing one) and the
+/// worker count.
+fn fan_out<R: Send>(
+    n: usize,
+    threads: usize,
+    f: impl Fn(usize) -> R + Sync,
+) -> (Vec<Option<R>>, usize) {
+    let workers = threads.clamp(1, n.max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
+                if i >= n {
                     break;
                 }
-                let result = run(&jobs[i], seeds[i]);
+                let result = f(i);
                 // Poison-tolerant: a panic elsewhere must not discard a
                 // finished result.
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
@@ -113,18 +99,24 @@ where
     });
     let results = slots
         .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
+        .collect();
+    (results, workers)
+}
+
+/// Every slot's result, in order.
+///
+/// # Panics
+///
+/// Panics naming the first job whose worker died before storing one.
+fn unwrap_slots<R>(slots: Vec<Option<R>>) -> Vec<R> {
+    slots
+        .into_iter()
         .enumerate()
         .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| panic!("job {i}: worker thread died before storing a result"))
+            slot.unwrap_or_else(|| panic!("job {i}: worker thread died before storing a result"))
         })
-        .collect();
-    GridOutcome {
-        results,
-        threads: workers,
-        wall: started.elapsed(),
-    }
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -203,8 +195,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`run_grid_with_threads`] that completes the grid even when cells
-/// fail.
+/// [`run_grid`] that completes the grid even when cells fail.
 ///
 /// Each cell runs under [`std::panic::catch_unwind`]; a panicking or
 /// `Err`-returning cell is retried up to `retries` more times with the
@@ -231,44 +222,25 @@ where
 {
     let started = Instant::now();
     let seeds = job_seeds(grid_seed, jobs.len());
-    let workers = threads.clamp(1, jobs.len().max(1));
-    let next = AtomicUsize::new(0);
-    type Slot<R> = Mutex<Option<Result<(R, u32), (JobError, u32)>>>;
-    let slots: Vec<Slot<R>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
+    let (slots, workers) = fan_out(jobs.len(), threads, |i| {
+        let mut outcome = Err((JobError::WorkerDied, 0));
+        for attempt in 1..=retries.saturating_add(1) {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| run(&jobs[i], seeds[i])));
+            match caught {
+                Ok(Ok(result)) => {
+                    outcome = Ok((result, attempt));
                     break;
                 }
-                let mut outcome = Err((JobError::WorkerDied, 0));
-                for attempt in 1..=retries.saturating_add(1) {
-                    let caught =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| run(&jobs[i], seeds[i])));
-                    match caught {
-                        Ok(Ok(result)) => {
-                            outcome = Ok((result, attempt));
-                            break;
-                        }
-                        Ok(Err(e)) => outcome = Err((e, attempt)),
-                        Err(payload) => {
-                            outcome = Err((JobError::Panic(panic_message(payload)), attempt))
-                        }
-                    }
-                }
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-            });
+                Ok(Err(e)) => outcome = Err((e, attempt)),
+                Err(payload) => outcome = Err((JobError::Panic(panic_message(payload)), attempt)),
+            }
         }
+        outcome
     });
     let mut results = Vec::with_capacity(jobs.len());
     let mut failures = Vec::new();
     for (i, slot) in slots.into_iter().enumerate() {
-        let stored = slot
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .unwrap_or(Err((JobError::WorkerDied, 0)));
-        match stored {
+        match slot.unwrap_or(Err((JobError::WorkerDied, 0))) {
             Ok((result, _)) => results.push(Some(result)),
             Err((error, attempts)) => {
                 results.push(None);
@@ -383,7 +355,7 @@ impl GridJournal {
     }
 }
 
-/// [`run_grid_with_threads`] with a cell journal: cells already in the
+/// [`run_grid`] with a cell journal: cells already in the
 /// journal are loaded instead of run, and every freshly-run cell is
 /// journaled the moment it finishes. `label` names a cell for
 /// validation (e.g. `"gcc/SVC 8KB"`), guarding against a journal left
@@ -408,13 +380,14 @@ where
 {
     let started = Instant::now();
     let seeds = job_seeds(grid_seed, jobs.len());
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
     let mut pending: Vec<usize> = Vec::new();
     for i in 0..jobs.len() {
-        match journal.load::<R>(i, seeds[i], &label(&jobs[i])) {
-            Some(r) => *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r),
-            None => pending.push(i),
+        let cached = journal.load::<R>(i, seeds[i], &label(&jobs[i]));
+        if cached.is_none() {
+            pending.push(i);
         }
+        slots.push(cached);
     }
     let recovered = jobs.len() - pending.len();
     if recovered > 0 {
@@ -425,38 +398,22 @@ where
             pending.len()
         );
     }
-    let workers = threads.clamp(1, pending.len().max(1));
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= pending.len() {
-                    break;
-                }
-                let i = pending[k];
-                let result = run(&jobs[i], seeds[i]);
-                // Journal first, then publish: a cell is only "done"
-                // once it would survive a crash. A full disk degrades
-                // resumability, not the run itself.
-                if let Err(e) = journal.store(i, seeds[i], &label(&jobs[i]), &result) {
-                    eprintln!("grid journal: cell {i} not saved (continuing): {e}");
-                }
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-            });
+    let (fresh, workers) = fan_out(pending.len(), threads, |k| {
+        let i = pending[k];
+        let result = run(&jobs[i], seeds[i]);
+        // Journal first, then publish: a cell is only "done" once it
+        // would survive a crash. A full disk degrades resumability, not
+        // the run itself.
+        if let Err(e) = journal.store(i, seeds[i], &label(&jobs[i]), &result) {
+            eprintln!("grid journal: cell {i} not saved (continuing): {e}");
         }
+        result
     });
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or_else(|| panic!("job {i}: worker thread died before storing a result"))
-        })
-        .collect();
+    for (&i, result) in pending.iter().zip(fresh) {
+        slots[i] = result;
+    }
     GridOutcome {
-        results,
+        results: unwrap_slots(slots),
         threads: workers,
         wall: started.elapsed(),
     }
@@ -477,16 +434,16 @@ mod tests {
     fn grid_results_keep_submission_order_at_any_thread_count() {
         let jobs: Vec<u64> = (0..37).collect();
         let run = |j: &u64, seed: u64| (*j, seed, j * j);
-        let serial = run_grid_with_threads(&jobs, 99, 1, run);
+        let serial = run_grid(&jobs, 99, 1, run);
         for threads in [2, 3, 8, 64] {
-            let parallel = run_grid_with_threads(&jobs, 99, threads, run);
+            let parallel = run_grid(&jobs, 99, threads, run);
             assert_eq!(serial.results, parallel.results);
         }
     }
 
     #[test]
     fn empty_grid_is_fine() {
-        let out: GridOutcome<u64> = run_grid_with_threads(&[] as &[u64], 0, 4, |j, _| *j);
+        let out: GridOutcome<u64> = run_grid(&[] as &[u64], 0, 4, |j, _| *j);
         assert!(out.results.is_empty());
     }
 
@@ -592,7 +549,7 @@ mod tests {
         let journal = GridJournal::open(&dir, 42).expect("open journal");
         let full = run_grid_resumable(&jobs, 42, 4, &journal, label, run);
         assert_eq!(ran.swap(0, Ordering::Relaxed), 9);
-        let plain = run_grid_with_threads(&jobs, 42, 1, run);
+        let plain = run_grid(&jobs, 42, 1, run);
         assert_eq!(full.results, plain.results, "journal changed the results");
         ran.store(0, Ordering::Relaxed);
 

@@ -10,9 +10,9 @@
 //! every table and figure from it.
 //!
 //! The paper grid's budget is 400k committed instructions per run
-//! ([`PAPER_BUDGET`]) — the paper's 200M scaled to laptop time; override
-//! with the `SVC_EXPERIMENT_BUDGET` environment variable (the shapes are
-//! stable well below the default, see EXPERIMENTS.md).
+//! ([`PAPER_BUDGET`]) — the paper's 200M scaled to laptop time; a
+//! binary's [`RunOptions::budget`] (`SVC_EXPERIMENT_BUDGET`) overrides it
+//! (the shapes are stable well below the default, see EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,11 +20,11 @@
 pub mod checkgate;
 pub mod cli;
 pub mod harness;
+pub mod options;
 pub mod paper;
 pub mod report;
 pub mod soak;
 
-use std::path::PathBuf;
 use svc::{SvcConfig, SvcSystem};
 use svc_arb::{ArbConfig, ArbSystem};
 use svc_multiscalar::{Engine, EngineConfig, RunReport, TaskSource};
@@ -33,6 +33,8 @@ use svc_sim::metrics::{MetricSource, MetricsRegistry};
 use svc_sim::profile::{ProfileReport, Profiler};
 use svc_sim::trace::Tracer;
 use svc_workloads::Spec95;
+
+pub use options::RunOptions;
 
 /// Which memory system to run an experiment on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +69,7 @@ impl MemoryKind {
 }
 
 /// The measurements one experiment run produces.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExperimentResult {
     /// Workload name.
     pub workload: String,
@@ -81,26 +83,12 @@ pub struct ExperimentResult {
     pub bus_utilization: f64,
     /// The full engine report, for deeper digging.
     pub report: RunReport,
-    /// The cycle-accounting profile, present only when `SVC_PROFILE`
-    /// enabled the profiler for this run. Never serialized into the
-    /// `results/<name>.json` document (which stays byte-identical with
-    /// the profiler on or off); published separately as
-    /// `results/<name>.profile.json`.
+    /// The cycle-accounting profile, present only when
+    /// [`RunOptions::profile`] enabled the profiler for this run. Never
+    /// serialized into the `results/<name>.json` document (which stays
+    /// byte-identical with the profiler on or off); published separately
+    /// as `results/<name>.profile.json`.
     pub profile: Option<ProfileReport>,
-}
-
-impl Default for ExperimentResult {
-    fn default() -> ExperimentResult {
-        ExperimentResult {
-            workload: String::new(),
-            memory: String::new(),
-            ipc: 0.0,
-            miss_ratio: 0.0,
-            bus_utilization: 0.0,
-            report: RunReport::default(),
-            profile: None,
-        }
-    }
 }
 
 impl svc_types::Checkpointable for ExperimentResult {
@@ -146,34 +134,9 @@ pub const NUM_PUS: usize = 4;
 /// The paper grid's committed-instruction budget per run.
 pub const PAPER_BUDGET: u64 = 400_000;
 
-/// Committed-instruction budget per run: `SVC_EXPERIMENT_BUDGET` if it
-/// parses, otherwise the calling binary's `default`.
-pub fn instruction_budget(default: u64) -> u64 {
-    std::env::var("SVC_EXPERIMENT_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Invariant-watchdog cadence from `SVC_WATCHDOG`: unset/`0` disables
-/// it, `1` enables the default cadence (a sweep every 256 cycles), any
-/// larger value is the explicit cycle cadence. Commit/squash-boundary
-/// checks run whenever the watchdog is enabled, at any cadence.
-pub fn watchdog_from_env() -> u64 {
-    match std::env::var("SVC_WATCHDOG")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-    {
-        0 => 0,
-        1 => 256,
-        n => n,
-    }
-}
-
-/// With the env-driven watchdog on, a violation means the simulator
-/// corrupted speculative state silently — fail loudly so `SVC_WATCHDOG=1
-/// cargo test` turns every test into an invariant check.
+/// With the watchdog on, a violation means the simulator corrupted
+/// speculative state silently — fail loudly, so a watched grid is an
+/// invariant check of every cell.
 fn assert_watchdog_clean(watchdog: u64, violations: &[svc_types::InvariantViolation], label: &str) {
     if watchdog == 0 || violations.is_empty() {
         return;
@@ -188,67 +151,37 @@ fn assert_watchdog_clean(watchdog: u64, violations: &[svc_types::InvariantViolat
     );
 }
 
-/// Runs `source` on `memory` with the engine configured per the paper
-/// (4 PUs, 2-issue) and the workload's predictor model.
-///
-/// Tracing is driven by the environment: when `SVC_TRACE` names one or
-/// more categories, the run records events ([`Tracer::from_env`]) and —
-/// if `SVC_TRACE_OUT` points at a directory — writes the three sinks to
-/// `$SVC_TRACE_OUT/<workload>-<memory>-<seed>.{log,jsonl,trace.json}`.
-///
-/// Robustness is likewise env-driven: `SVC_FAULTS` attaches a seeded
-/// fault injector ([`Faults::from_env`]) and `SVC_WATCHDOG` an invariant
-/// watchdog ([`watchdog_from_env`]); with both unset the run is
-/// byte-identical to a build without either feature.
+/// Runs `source` on `memory` with `engine_cfg` and the attachments
+/// `opts` asks for ([`prepare_engine`]). When tracing is on and
+/// [`RunOptions::trace_out`] names a directory, the run's three sinks go
+/// to `<trace_out>/<workload>-<memory>-<seed>.{log,jsonl,trace.json}`.
+/// With no attachment the run is byte-identical to a build without
+/// tracer, profiler, fault injector or watchdog.
 pub fn run_source(
     source: &dyn TaskSource,
     memory: MemoryKind,
     engine_cfg: EngineConfig,
+    opts: &RunOptions,
 ) -> ExperimentResult {
-    let tracer = Tracer::from_env();
-    let active = tracer.is_active();
-    let result = run_source_with(source, memory, engine_cfg, tracer.clone());
-    if active {
-        if let Some(dir) = std::env::var_os("SVC_TRACE_OUT") {
-            if let Err(e) = write_trace_files(dir.as_ref(), &result, engine_cfg.seed, &tracer) {
-                eprintln!("SVC_TRACE_OUT: {e}");
-            }
+    let (result, tracer) = prepare_engine(memory, engine_cfg, opts).run(source);
+    if let Some(dir) = opts.trace_out.as_deref().filter(|_| tracer.is_active()) {
+        if let Err(e) = write_trace_files(dir, &result, engine_cfg.seed, &tracer) {
+            eprintln!("SVC_TRACE_OUT: {e}");
         }
     }
     result
 }
 
-/// [`run_source`] with an explicit [`Tracer`] attached to both the
-/// memory system and the execution engine, interleaving memory and
-/// task-lifecycle events in one ring. The caller keeps a clone of the
-/// tracer and drains it with [`Tracer::records`] after the run.
-pub fn run_source_with(
-    source: &dyn TaskSource,
-    memory: MemoryKind,
-    engine_cfg: EngineConfig,
-    tracer: Tracer,
-) -> ExperimentResult {
-    match prepare_engine(memory, engine_cfg, tracer) {
-        PreparedEngine::Svc(mut p) => {
-            let report = p.engine.run(source);
-            p.finish(source.name(), report)
-        }
-        PreparedEngine::Arb(mut p) => {
-            let report = p.engine.run(source);
-            p.finish(source.name(), report)
-        }
-    }
-}
-
-/// A fully attached engine (tracer, env-driven faults, watchdog,
-/// profiler — the exact wiring of [`run_source_with`]) plus the pieces
-/// needed to assemble an [`ExperimentResult`] once the run completes.
-/// For callers that drive the run themselves, like the `svc-sim`
-/// checkpointing driver pausing at cycle boundaries.
+/// A fully attached engine (tracer, fault injector, watchdog, profiler)
+/// plus the pieces needed to assemble an [`ExperimentResult`] once the
+/// run completes. For callers that drive the run themselves, like the
+/// `svc-sim` checkpointing driver pausing at cycle boundaries.
 #[derive(Debug)]
 pub struct Prepared<M> {
     /// The engine, ready to run (or to restore a checkpoint into).
     pub engine: Engine<M>,
+    /// The attached tracer handle (drain it with [`Tracer::records`]).
+    pub tracer: Tracer,
     /// The attached profiler handle (for the result's profile report).
     pub profiler: Profiler,
     /// The watchdog period the engine was armed with.
@@ -258,8 +191,32 @@ pub struct Prepared<M> {
 }
 
 impl<M: svc_types::VersionedMemory> Prepared<M> {
+    /// Attaches the run's handles, watchdog and stepping mode to
+    /// `engine`, whose memory system already holds the same handles.
+    fn attach(
+        mut engine: Engine<M>,
+        tracer: Tracer,
+        faults: Faults,
+        profiler: Profiler,
+        opts: &RunOptions,
+        label: String,
+    ) -> Prepared<M> {
+        engine.set_tracer(tracer.clone());
+        engine.set_faults(faults);
+        engine.set_watchdog(opts.watchdog);
+        engine.set_profiler(profiler.clone());
+        engine.set_fast_forward(!opts.step_every_cycle);
+        Prepared {
+            engine,
+            tracer,
+            profiler,
+            watchdog: opts.watchdog,
+            label,
+        }
+    }
+
     /// Assembles the result after the engine finished, enforcing the
-    /// env-driven watchdog contract.
+    /// watchdog contract ([`RunOptions::watchdog`]).
     pub fn finish(&mut self, workload: &str, report: RunReport) -> ExperimentResult {
         assert_watchdog_clean(self.watchdog, self.engine.violations(), &self.label);
         ExperimentResult {
@@ -271,6 +228,12 @@ impl<M: svc_types::VersionedMemory> Prepared<M> {
             report,
             profile: self.profiler.report(),
         }
+    }
+
+    /// Runs `source` to completion; returns the result and the tracer.
+    fn run(mut self, source: &dyn TaskSource) -> (ExperimentResult, Tracer) {
+        let report = self.engine.run(source);
+        (self.finish(source.name(), report), self.tracer)
     }
 }
 
@@ -289,17 +252,27 @@ pub enum PreparedEngine {
     Arb(Prepared<ArbSystem>),
 }
 
-/// Builds the fully attached engine for `memory` — the construction
-/// half of [`run_source_with`], shared with resumable drivers.
+impl PreparedEngine {
+    /// Runs `source` to completion; returns the result and the tracer.
+    pub fn run(self, source: &dyn TaskSource) -> (ExperimentResult, Tracer) {
+        match self {
+            PreparedEngine::Svc(p) => p.run(source),
+            PreparedEngine::Arb(p) => p.run(source),
+        }
+    }
+}
+
+/// Builds the engine for `memory` with the attachments `opts` asks for,
+/// shared by the memory system and the engine (one trace ring).
 pub fn prepare_engine(
     memory: MemoryKind,
     engine_cfg: EngineConfig,
-    tracer: Tracer,
+    opts: &RunOptions,
 ) -> PreparedEngine {
     let label = memory.label(engine_cfg.num_pus);
-    let faults = Faults::from_env(engine_cfg.seed);
-    let watchdog = watchdog_from_env();
-    let profiler = Profiler::from_env(engine_cfg.num_pus);
+    let tracer = Tracer::new(opts.trace, opts.trace_capacity);
+    let faults = Faults::new(&opts.faults, engine_cfg.seed);
+    let profiler = opts.profiler(engine_cfg.num_pus);
     match memory {
         MemoryKind::Svc { kb_per_cache } => {
             let mut cfg = SvcConfig::final_design(engine_cfg.num_pus);
@@ -308,17 +281,10 @@ pub fn prepare_engine(
             system.set_tracer(tracer.clone());
             system.set_faults(faults.clone());
             system.set_profiler(profiler.clone());
-            let mut engine = Engine::new(engine_cfg, system);
-            engine.set_tracer(tracer);
-            engine.set_faults(faults);
-            engine.set_watchdog(watchdog);
-            engine.set_profiler(profiler.clone());
-            PreparedEngine::Svc(Prepared {
-                engine,
-                profiler,
-                watchdog,
-                label,
-            })
+            let engine = Engine::new(engine_cfg, system);
+            PreparedEngine::Svc(Prepared::attach(
+                engine, tracer, faults, profiler, opts, label,
+            ))
         }
         MemoryKind::Arb {
             hit_cycles,
@@ -328,17 +294,10 @@ pub fn prepare_engine(
             let mut system = ArbSystem::new(cfg);
             system.set_tracer(tracer.clone());
             system.set_profiler(profiler.clone());
-            let mut engine = Engine::new(engine_cfg, system);
-            engine.set_tracer(tracer);
-            engine.set_faults(faults);
-            engine.set_watchdog(watchdog);
-            engine.set_profiler(profiler.clone());
-            PreparedEngine::Arb(Prepared {
-                engine,
-                profiler,
-                watchdog,
-                label,
-            })
+            let engine = Engine::new(engine_cfg, system);
+            PreparedEngine::Arb(Prepared::attach(
+                engine, tracer, faults, profiler, opts, label,
+            ))
         }
     }
 }
@@ -435,22 +394,20 @@ pub fn run_spec95_with(
     memory: MemoryKind,
     budget: u64,
     seed: u64,
+    opts: &RunOptions,
 ) -> ExperimentResult {
-    run_job(
-        &GridJob {
-            bench,
-            memory,
-            num_pus: NUM_PUS,
-        },
-        budget,
-        seed,
-    )
+    let job = GridJob {
+        bench,
+        memory,
+        num_pus: NUM_PUS,
+    };
+    run_job(&job, budget, seed, opts)
 }
 
 /// Runs one grid cell under [`spec95_config`].
-fn run_job(job: &GridJob, budget: u64, seed: u64) -> ExperimentResult {
+fn run_job(job: &GridJob, budget: u64, seed: u64, opts: &RunOptions) -> ExperimentResult {
     let cfg = spec95_config(job.bench, job.num_pus, budget, seed);
-    run_source(&job.bench.workload(seed), job.memory, cfg)
+    run_source(&job.bench.workload(seed), job.memory, cfg, opts)
 }
 
 /// The seed every paper-artifact binary pins. The workload profiles are
@@ -489,12 +446,6 @@ pub fn cross(benches: &[Spec95], memories: &[MemoryKind]) -> Vec<GridJob> {
     jobs
 }
 
-/// Env var naming a directory for the grid-cell journal. When set, the
-/// standard grids ([`run_journaled_grid`]) journal every finished cell
-/// there and, on a re-run after an interruption, restart from the
-/// completed cells instead of re-simulating them.
-const GRID_JOURNAL_ENV: &str = "SVC_GRID_JOURNAL";
-
 /// One cell's validation label inside the journal: workload, memory
 /// (whose label carries the PU count) and budget, so a journal left by
 /// a run at another budget re-runs its cells instead of serving them.
@@ -506,37 +457,25 @@ fn grid_cell_label(job: &GridJob, budget: u64) -> String {
     )
 }
 
-/// Runs a standard experiment grid of `budget`-instruction cells,
-/// through the cell journal when `SVC_GRID_JOURNAL` is set (separate
-/// per-grid subdirectories keyed by grid seed and shape, so one journal
-/// directory serves many grids).
+/// Runs a standard experiment grid of `budget`-instruction cells, through
+/// the cell journal when [`RunOptions::grid_journal`] names a directory
+/// (separate per-grid subdirectories keyed by grid seed and shape, so one
+/// journal directory serves many grids).
 pub fn run_journaled_grid(
     jobs: &[GridJob],
     grid_seed: u64,
     budget: u64,
+    opts: &RunOptions,
     run: impl Fn(&GridJob, u64) -> ExperimentResult + Sync,
 ) -> harness::GridOutcome<ExperimentResult> {
-    let dir = std::env::var_os(GRID_JOURNAL_ENV).map(PathBuf::from);
-    run_grid_journaled_in(dir, jobs, grid_seed, budget, run)
-}
-
-/// [`run_journaled_grid`] with the journal directory given (`None`:
-/// a plain run).
-fn run_grid_journaled_in(
-    dir: Option<PathBuf>,
-    jobs: &[GridJob],
-    grid_seed: u64,
-    budget: u64,
-    run: impl Fn(&GridJob, u64) -> ExperimentResult + Sync,
-) -> harness::GridOutcome<ExperimentResult> {
-    if let Some(dir) = dir {
+    if let Some(dir) = &opts.grid_journal {
         let sub = dir.join(format!("grid-{grid_seed:016x}-{:03}", jobs.len()));
         match harness::GridJournal::open(sub, grid_seed) {
             Ok(journal) => {
                 return harness::run_grid_resumable(
                     jobs,
                     grid_seed,
-                    harness::threads_from_env(),
+                    opts.threads,
                     &journal,
                     |job| grid_cell_label(job, budget),
                     run,
@@ -546,14 +485,18 @@ fn run_grid_journaled_in(
             Err(e) => eprintln!("grid journal unavailable (running without): {e}"),
         }
     }
-    harness::run_grid(jobs, grid_seed, run)
+    harness::run_grid(jobs, grid_seed, opts.threads, run)
 }
 
 /// Runs a grid in parallel with every cell pinned to [`PAPER_SEED`]
 /// (the paper-artifact path; see [`PAPER_SEED`] for why).
-pub fn run_paper_grid(jobs: &[GridJob], budget: u64) -> harness::GridOutcome<ExperimentResult> {
-    run_journaled_grid(jobs, PAPER_SEED, budget, |job, _derived| {
-        run_job(job, budget, PAPER_SEED)
+pub fn run_paper_grid(
+    jobs: &[GridJob],
+    budget: u64,
+    opts: &RunOptions,
+) -> harness::GridOutcome<ExperimentResult> {
+    run_journaled_grid(jobs, PAPER_SEED, budget, opts, |job, _derived| {
+        run_job(job, budget, PAPER_SEED, opts)
     })
 }
 
@@ -563,9 +506,10 @@ pub fn run_derived_grid(
     jobs: &[GridJob],
     grid_seed: u64,
     budget: u64,
+    opts: &RunOptions,
 ) -> harness::GridOutcome<ExperimentResult> {
-    run_journaled_grid(jobs, grid_seed, budget, |job, seed| {
-        run_job(job, budget, seed)
+    run_journaled_grid(jobs, grid_seed, budget, opts, |job, seed| {
+        run_job(job, budget, seed, opts)
     })
 }
 
@@ -578,39 +522,35 @@ pub fn run_derived_grid_failsafe(
     jobs: &[GridJob],
     grid_seed: u64,
     budget: u64,
+    opts: &RunOptions,
 ) -> harness::FailsafeOutcome<ExperimentResult> {
-    harness::run_grid_failsafe(
-        jobs,
-        grid_seed,
-        harness::threads_from_env(),
-        1,
-        |job, seed| {
-            let result = run_job(job, budget, seed);
-            if result.report.hit_cycle_limit {
-                return Err(harness::JobError::Timeout);
-            }
-            Ok(result)
-        },
-    )
+    harness::run_grid_failsafe(jobs, grid_seed, opts.threads, 1, |job, seed| {
+        let result = run_job(job, budget, seed, opts);
+        if result.report.hit_cycle_limit {
+            return Err(harness::JobError::Timeout);
+        }
+        Ok(result)
+    })
 }
 
-/// Writes a paper-seeded grid's deterministic documents:
-/// `results/<name>.json` and, if any cell carries a cycle-accounting
-/// profile (i.e. the grid ran under `SVC_PROFILE`),
-/// `results/<name>.profile.json`. With the profiler off no profile
-/// document is written, so unprofiled artifact regeneration leaves the
-/// results directory untouched.
+/// Writes a paper-seeded grid's deterministic documents into
+/// [`RunOptions::results_dir`]: `<name>.json` and, if any cell carries a
+/// cycle-accounting profile (i.e. the grid ran with
+/// [`RunOptions::profile`]), `<name>.profile.json`. With the profiler off
+/// no profile document is written, so unprofiled artifact regeneration
+/// leaves the results directory untouched.
 pub fn write_paper_docs(
     name: &str,
     budget: u64,
     results: &[ExperimentResult],
+    opts: &RunOptions,
 ) -> std::io::Result<()> {
     let runs = results
         .iter()
         .map(|r| report::experiment_result_json(r, PAPER_SEED))
         .collect();
     let doc = report::experiment_doc(name, budget, PAPER_SEED, runs);
-    report::write_experiment(name, &doc)?;
+    report::write_experiment(&opts.results_dir, name, &doc)?;
     let profiles: Vec<report::Json> = results
         .iter()
         .filter_map(|r| {
@@ -625,24 +565,24 @@ pub fn write_paper_docs(
         .collect();
     if !profiles.is_empty() {
         let doc = report::profile_doc(name, budget, PAPER_SEED, profiles);
-        report::write_experiment(&format!("{name}.profile"), &doc)?;
+        report::write_experiment(&opts.results_dir, &format!("{name}.profile"), &doc)?;
     }
     Ok(())
 }
 
 /// Records a finished grid's wall-clock self-measurement as the `name`
-/// entry of the `BENCH_experiments.json` snapshot.
+/// entry of the [`RunOptions::snapshot`] file.
 pub fn record_grid(
     name: &str,
     outcome: &harness::GridOutcome<ExperimentResult>,
+    opts: &RunOptions,
 ) -> std::io::Result<()> {
     let m = report::SelfMeasurement::from_reports(
         outcome.results.iter().map(|r| &r.report),
         outcome.wall.as_secs_f64(),
         outcome.threads,
     );
-    report::record_snapshot(name, m)?;
-    Ok(())
+    report::record_snapshot(&opts.snapshot, name, m)
 }
 
 /// Writes both JSON artifacts for a finished paper-seeded grid: its
@@ -652,9 +592,10 @@ pub fn publish_paper_grid(
     name: &str,
     budget: u64,
     outcome: &harness::GridOutcome<ExperimentResult>,
+    opts: &RunOptions,
 ) -> std::io::Result<()> {
-    write_paper_docs(name, budget, &outcome.results)?;
-    record_grid(name, outcome)
+    write_paper_docs(name, budget, &outcome.results, opts)?;
+    record_grid(name, outcome, opts)
 }
 
 #[cfg(test)]
@@ -692,7 +633,13 @@ mod tests {
 
     #[test]
     fn tiny_run_produces_sane_metrics() {
-        let r = run_spec95_with(Spec95::Ijpeg, MemoryKind::Svc { kb_per_cache: 8 }, 5_000, 7);
+        let r = run_spec95_with(
+            Spec95::Ijpeg,
+            MemoryKind::Svc { kb_per_cache: 8 },
+            5_000,
+            7,
+            &RunOptions::default(),
+        );
         assert!(r.ipc > 0.0 && r.ipc < 8.0, "ipc {}", r.ipc);
         assert!(r.miss_ratio >= 0.0 && r.miss_ratio < 1.0);
         assert!(r.bus_utilization >= 0.0 && r.bus_utilization <= 1.0);
@@ -709,16 +656,17 @@ mod tests {
             },
             5_000,
             7,
+            &RunOptions::default(),
         );
         assert_eq!(r.bus_utilization, 0.0);
     }
 
     #[test]
     fn budget_env_override() {
-        // The binary's default without the env var.
-        std::env::remove_var("SVC_EXPERIMENT_BUDGET");
-        assert_eq!(instruction_budget(PAPER_BUDGET), 400_000);
-        assert_eq!(instruction_budget(300_000), 300_000);
+        // No override without the variable, its value with it.
+        assert_eq!(RunOptions::default().budget, None);
+        let set = RunOptions::parse(|k| (k == "SVC_EXPERIMENT_BUDGET").then(|| "60000".into()));
+        assert_eq!(set.unwrap().budget, Some(60_000));
     }
 
     /// A journal written at one budget serves no cells to a run at
@@ -728,16 +676,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("svc-grid-budget-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let jobs = cross(&[Spec95::Ijpeg], &[MemoryKind::Svc { kb_per_cache: 8 }]);
-        let journaled = |budget| {
-            run_grid_journaled_in(Some(dir.clone()), &jobs, PAPER_SEED, budget, |job, _| {
-                run_job(job, budget, PAPER_SEED)
-            })
+        let with_journal = RunOptions {
+            grid_journal: Some(dir.clone()),
+            ..RunOptions::default()
         };
+        let journaled = |budget| run_paper_grid(&jobs, budget, &with_journal);
         let first = journaled(3_000);
         let rerun = journaled(5_000);
-        let plain = run_grid_journaled_in(None, &jobs, PAPER_SEED, 5_000, |job, _| {
-            run_job(job, 5_000, PAPER_SEED)
-        });
+        let plain = run_paper_grid(&jobs, 5_000, &RunOptions::default());
         assert_eq!(rerun.results, plain.results);
         assert_ne!(rerun.results, first.results);
         // Same budget again: every cell comes from the journal.

@@ -754,14 +754,6 @@ pub fn experiment_doc_failsafe(
 // File output
 // ---------------------------------------------------------------------
 
-/// Where `results/*.json` artifacts go: `SVC_RESULTS_DIR` or
-/// `./results`.
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("SVC_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
 /// Crash-atomic file write for result artifacts: write to a `.tmp`
 /// sibling, fsync, rename over the destination. A reader (or a process
 /// killed mid-write) sees either the old complete file or the new
@@ -771,10 +763,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     svc_sim::checkpoint::write_atomic(path, bytes)
 }
 
-/// Writes `doc` to `results/<name>.json`, creating the directory.
-pub fn write_experiment(name: &str, doc: &Json) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+/// Writes `doc` to `<dir>/<name>.json`, creating the directory.
+pub fn write_experiment(dir: &Path, name: &str, doc: &Json) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     write_atomic(&path, doc.render().as_bytes())?;
     Ok(path)
@@ -857,24 +848,10 @@ impl SelfMeasurement {
     }
 }
 
-/// Path of the perf snapshot: `SVC_BENCH_SNAPSHOT` or
-/// `./BENCH_experiments.json`.
-pub fn snapshot_path() -> PathBuf {
-    std::env::var_os("SVC_BENCH_SNAPSHOT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_experiments.json"))
-}
-
-/// Merges one experiment's self-measurement into the perf snapshot
-/// (read-modify-write keyed by experiment name, so binaries can run in
-/// any order or subset).
-pub fn record_snapshot(experiment: &str, m: SelfMeasurement) -> io::Result<PathBuf> {
-    let path = snapshot_path();
-    record_snapshot_at(&path, experiment, m)?;
-    Ok(path)
-}
-
-fn record_snapshot_at(path: &Path, experiment: &str, m: SelfMeasurement) -> io::Result<()> {
+/// Merges one experiment's self-measurement into the perf snapshot at
+/// `path` (read-modify-write keyed by experiment name, so binaries can
+/// run in any order or subset).
+pub fn record_snapshot(path: &Path, experiment: &str, m: SelfMeasurement) -> io::Result<()> {
     let existing = match std::fs::read_to_string(path) {
         Ok(text) => parse(&text).ok(),
         Err(_) => None,
@@ -898,17 +875,11 @@ fn record_snapshot_at(path: &Path, experiment: &str, m: SelfMeasurement) -> io::
     write_atomic(path, doc.render().as_bytes())
 }
 
-/// Rotates the perf snapshot: the current `experiments` section becomes
-/// `previous`, ready for a fresh sweep to fill `experiments` and let
-/// [`record_snapshot`] compute `speedup` against the rotated baseline.
-/// A missing or empty snapshot is left untouched.
-pub fn rotate_snapshot() -> io::Result<PathBuf> {
-    let path = snapshot_path();
-    rotate_snapshot_at(&path)?;
-    Ok(path)
-}
-
-fn rotate_snapshot_at(path: &Path) -> io::Result<()> {
+/// Rotates the perf snapshot at `path`: the current `experiments`
+/// section becomes `previous`, ready for a fresh sweep to fill
+/// `experiments` and let [`record_snapshot`] compute `speedup` against
+/// the rotated baseline. A missing or empty snapshot is left untouched.
+pub fn rotate_snapshot(path: &Path) -> io::Result<()> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Ok(());
     };
@@ -1080,7 +1051,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         // Rotating a missing snapshot is a no-op.
-        rotate_snapshot_at(&path).expect("rotate missing");
+        rotate_snapshot(&path).expect("rotate missing");
         assert!(!path.exists());
 
         let slow = SelfMeasurement {
@@ -1091,10 +1062,10 @@ mod tests {
             sim_cycles: 1000,
             committed_instrs: 500,
         };
-        record_snapshot_at(&path, "paper", slow).expect("write");
-        record_snapshot_at(&path, "motivation", slow).expect("write");
+        record_snapshot(&path, "paper", slow).expect("write");
+        record_snapshot(&path, "motivation", slow).expect("write");
 
-        rotate_snapshot_at(&path).expect("rotate");
+        rotate_snapshot(&path).expect("rotate");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         assert_eq!(
             doc.get("experiments")
@@ -1111,7 +1082,7 @@ mod tests {
             wall_s: 1.0,
             ..slow
         };
-        record_snapshot_at(&path, "paper", fast).expect("write");
+        record_snapshot(&path, "paper", fast).expect("write");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         let speedup = doc.get("speedup").expect("speedup");
         assert_eq!(speedup.get("aggregate").and_then(Json::as_f64), Some(2.0));
@@ -1128,7 +1099,7 @@ mod tests {
             .is_none());
 
         // Rotating again promotes the fresh sweep and drops speedup.
-        rotate_snapshot_at(&path).expect("rotate");
+        rotate_snapshot(&path).expect("rotate");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         assert!(doc.get("speedup").is_none());
         assert_eq!(
@@ -1181,7 +1152,7 @@ mod tests {
 
             // Rotation promotes the old entries to `previous` unchanged
             // and writes the current document tag.
-            rotate_snapshot_at(&path).expect("rotate old snapshot");
+            rotate_snapshot(&path).expect("rotate old snapshot");
             let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
             assert_eq!(
                 doc.get("schema").and_then(Json::as_str),
@@ -1195,7 +1166,7 @@ mod tests {
             // A fresh measurement computes its speedup against the old
             // baseline (readers only touch the fields every schema
             // shares) and writes no lane count.
-            record_snapshot_at(&path, "paper", fast).expect("record v3");
+            record_snapshot(&path, "paper", fast).expect("record v3");
             let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
             let entry = doc.get("experiments").and_then(|e| e.get("paper")).unwrap();
             assert!(entry.get("engine_threads").is_none());
@@ -1223,8 +1194,8 @@ mod tests {
             sim_cycles: 1000,
             committed_instrs: 500,
         };
-        record_snapshot_at(&path, "paper", m).expect("write");
-        record_snapshot_at(&path, "motivation", m).expect("write");
+        record_snapshot(&path, "paper", m).expect("write");
+        record_snapshot(&path, "motivation", m).expect("write");
         let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
         let exps = doc.get("experiments").expect("experiments");
         assert!(exps.get("paper").is_some() && exps.get("motivation").is_some());

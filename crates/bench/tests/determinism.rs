@@ -1,9 +1,9 @@
 //! The harness's core guarantee: the same grid seed produces
 //! byte-identical JSON at any worker-thread count.
 
-use svc_bench::harness::{job_seeds, run_grid_with_threads};
+use svc_bench::harness::{job_seeds, run_grid};
 use svc_bench::report::{experiment_doc, experiment_result_json};
-use svc_bench::{cross, run_spec95_with, MemoryKind};
+use svc_bench::{cross, run_spec95_with, MemoryKind, RunOptions};
 use svc_workloads::Spec95;
 
 #[test]
@@ -21,9 +21,10 @@ fn same_grid_seed_is_byte_identical_at_1_2_and_8_threads() {
         ],
     );
     let seeds = job_seeds(GRID_SEED, jobs.len());
+    let opts = RunOptions::default();
     let render = |threads: usize| {
-        let outcome = run_grid_with_threads(&jobs, GRID_SEED, threads, |job, seed| {
-            run_spec95_with(job.bench, job.memory, BUDGET, seed)
+        let outcome = run_grid(&jobs, GRID_SEED, threads, |job, seed| {
+            run_spec95_with(job.bench, job.memory, BUDGET, seed, &opts)
         });
         let runs = outcome
             .results

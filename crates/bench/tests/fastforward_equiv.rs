@@ -1,17 +1,13 @@
 //! Differential test for the idle-cycle fast-forward: jumping the clock
 //! over provably-idle cycles must be invisible in every serialized
-//! artifact. `SVC_NO_FASTFORWARD=1` forces the reference cycle-by-cycle
-//! scheduler; this binary runs the same work both ways and demands
-//! byte-identical JSON.
-//!
-//! Everything lives in ONE `#[test]`: the toggle is a process-global
-//! environment variable, so scenarios must run sequentially, never in
-//! parallel test threads.
+//! artifact. [`RunOptions::step_every_cycle`] selects the reference
+//! cycle-by-cycle scheduler; each test runs the same work both ways and
+//! demands byte-identical JSON.
 
 use svc_bench::harness::job_seeds;
 use svc_bench::report::{self, Json};
 use svc_bench::{
-    cross, run_derived_grid, run_spec95_with, ExperimentResult, MemoryKind, PAPER_SEED,
+    cross, run_derived_grid, run_spec95_with, ExperimentResult, MemoryKind, RunOptions, PAPER_SEED,
 };
 use svc_workloads::Spec95;
 
@@ -33,18 +29,19 @@ const MEMORIES: [MemoryKind; 4] = [
     MemoryKind::Svc { kb_per_cache: 16 },
 ];
 
-fn set_fastforward(enabled: bool) {
-    if enabled {
-        std::env::remove_var("SVC_NO_FASTFORWARD");
-    } else {
-        std::env::set_var("SVC_NO_FASTFORWARD", "1");
+/// `opts` with the reference scheduler (`step`) or the fast-forwarding
+/// one.
+fn stepping(step: bool, opts: &RunOptions) -> RunOptions {
+    RunOptions {
+        step_every_cycle: step,
+        ..opts.clone()
     }
 }
 
 /// Renders the pinned grid as a full `svc-experiments/v1` document.
-fn grid_doc() -> String {
+fn grid_doc(opts: &RunOptions) -> String {
     let jobs = cross(&BENCHES, &MEMORIES);
-    let outcome = run_derived_grid(&jobs, GRID_SEED, BUDGET);
+    let outcome = run_derived_grid(&jobs, GRID_SEED, BUDGET, opts);
     let seeds = job_seeds(GRID_SEED, jobs.len());
     let runs = outcome
         .results
@@ -60,79 +57,84 @@ fn cell_json(result: &ExperimentResult) -> String {
     report::experiment_result_json(result, PAPER_SEED).render()
 }
 
-/// One faulted campaign cell: every injection site live at a rate that
-/// fires often on this budget. Fast-forward must self-disable under an
-/// active injector (sites draw from per-site streams once per scheduler
-/// iteration, so skipped iterations would change the fault timeline).
-fn faulted_cell() -> String {
-    std::env::set_var("SVC_FAULTS", "all=0.01, penalty=5");
-    let result = run_spec95_with(
-        Spec95::Gcc,
-        MemoryKind::Svc { kb_per_cache: 8 },
-        BUDGET,
-        PAPER_SEED,
-    );
-    std::env::remove_var("SVC_FAULTS");
-    cell_json(&result)
-}
-
-/// One profiled cell: the interval sampler's rows must land on the same
-/// cycles (fast-forward clamps jumps at sample boundaries) and the
-/// stall-bucket conservation invariant must hold either way.
-fn profiled_cell() -> String {
-    std::env::set_var("SVC_PROFILE", "1");
-    let result = run_spec95_with(
-        Spec95::Mgrid,
-        MemoryKind::Svc { kb_per_cache: 8 },
-        BUDGET,
-        PAPER_SEED,
-    );
-    std::env::remove_var("SVC_PROFILE");
-    let profile = result.profile.as_ref().expect("SVC_PROFILE=1");
-    assert!(
-        profile.conservation_ok(),
-        "stall attribution violates conservation: expected {}, attributed {}",
-        profile.expected(),
-        profile.attributed()
-    );
-    format!(
-        "{}{}",
-        cell_json(&result),
-        report::profile_report_json(profile).render()
-    )
-}
-
 #[test]
-fn fastforward_is_byte_identical_to_cycle_by_cycle() {
-    // Reference pass: cycle-by-cycle stepping.
-    set_fastforward(false);
-    let slow_grid = grid_doc();
-    let slow_faulted = faulted_cell();
-    let slow_profiled = profiled_cell();
-
-    // Fast pass: idle-cycle jumps enabled (the default).
-    set_fastforward(true);
-    let fast_grid = grid_doc();
-    let fast_faulted = faulted_cell();
-    let fast_profiled = profiled_cell();
-
+fn fastforward_grid_is_byte_identical_to_cycle_by_cycle() {
+    let opts = RunOptions::default();
+    let fast_grid = grid_doc(&stepping(false, &opts));
     assert_eq!(
-        slow_grid, fast_grid,
+        grid_doc(&stepping(true, &opts)),
+        fast_grid,
         "fast-forward changed the pinned 12-cell grid document"
     );
-    assert_eq!(
-        slow_faulted, fast_faulted,
-        "fast-forward changed a faulted campaign cell"
-    );
-    assert_eq!(
-        slow_profiled, fast_profiled,
-        "fast-forward changed a profiled cell or its stall attribution"
-    );
-
     // Sanity: the documents carry real runs, not empty grids.
     let doc = report::parse(&fast_grid).expect("grid doc parses");
     assert_eq!(
         doc.get("runs").and_then(Json::as_arr).map(<[_]>::len),
         Some(12)
+    );
+}
+
+/// One faulted campaign cell: every injection site live at a rate that
+/// fires often on this budget. Fast-forward must self-disable under an
+/// active injector (sites draw from per-site streams once per scheduler
+/// iteration, so skipped iterations would change the fault timeline).
+#[test]
+fn fastforward_faulted_cell_is_byte_identical_to_cycle_by_cycle() {
+    let opts =
+        RunOptions::parse(|name| (name == "SVC_FAULTS").then(|| "all=0.01, penalty=5".to_string()))
+            .expect("fault spec parses");
+    let cell = |step| {
+        let memory = MemoryKind::Svc { kb_per_cache: 8 };
+        let result = run_spec95_with(
+            Spec95::Gcc,
+            memory,
+            BUDGET,
+            PAPER_SEED,
+            &stepping(step, &opts),
+        );
+        cell_json(&result)
+    };
+    assert_eq!(
+        cell(true),
+        cell(false),
+        "fast-forward changed a faulted campaign cell"
+    );
+}
+
+/// One profiled cell: the interval sampler's rows must land on the same
+/// cycles (fast-forward clamps jumps at sample boundaries) and the
+/// stall-bucket conservation invariant must hold either way.
+#[test]
+fn fastforward_profiled_cell_is_byte_identical_to_cycle_by_cycle() {
+    let opts = RunOptions {
+        profile: true,
+        ..RunOptions::default()
+    };
+    let cell = |step| {
+        let memory = MemoryKind::Svc { kb_per_cache: 8 };
+        let result = run_spec95_with(
+            Spec95::Mgrid,
+            memory,
+            BUDGET,
+            PAPER_SEED,
+            &stepping(step, &opts),
+        );
+        let profile = result.profile.as_ref().expect("profiling on");
+        assert!(
+            profile.conservation_ok(),
+            "stall attribution violates conservation: expected {}, attributed {}",
+            profile.expected(),
+            profile.attributed()
+        );
+        format!(
+            "{}{}",
+            cell_json(&result),
+            report::profile_report_json(profile).render()
+        )
+    };
+    assert_eq!(
+        cell(true),
+        cell(false),
+        "fast-forward changed a profiled cell or its stall attribution"
     );
 }

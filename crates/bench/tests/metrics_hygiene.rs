@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 
 use svc_bench::soak::{run_soak, SoakConfig};
-use svc_bench::{run_source, MemoryKind, NUM_PUS};
+use svc_bench::{run_source, MemoryKind, RunOptions, NUM_PUS};
 use svc_multiscalar::EngineConfig;
 use svc_sim::fault::StormSchedule;
 use svc_sim::metrics::{sanitize_metric_name, MetricsRegistry};
@@ -111,7 +111,8 @@ fn run_registry_sanitizes_and_renders_cleanly() {
         seed: 42,
         ..EngineConfig::default()
     };
-    let result = run_source(&src, MemoryKind::Svc { kb_per_cache: 8 }, cfg);
+    let memory = MemoryKind::Svc { kb_per_cache: 8 };
+    let result = run_source(&src, memory, cfg, &RunOptions::default());
     let reg = result.metrics();
     // The engine's raw names use dots (`mem.bus_wait_cycles` et al) —
     // exactly what sanitization exists for.

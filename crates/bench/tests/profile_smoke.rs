@@ -4,13 +4,12 @@
 //! and a profiler that is attached but disabled leaves the simulation's
 //! serialized output untouched (the zero-cost claim).
 //!
-//! Every test that needs a live profiler sets `SVC_PROFILE=1`; no test in
-//! this binary requires it unset (the zero-cost test attaches its
-//! profilers explicitly), so the process-global flag is race-free here.
+//! The profiled tests run with [`RunOptions::profile`] set; the zero-cost
+//! test attaches its profilers explicitly.
 
-use svc_bench::harness::{job_seeds, run_grid_with_threads};
+use svc_bench::harness::{job_seeds, run_grid};
 use svc_bench::report::{self, Json};
-use svc_bench::{cross, profile_counter_series, run_spec95_with, MemoryKind, NUM_PUS};
+use svc_bench::{cross, profile_counter_series, run_spec95_with, MemoryKind, RunOptions, NUM_PUS};
 use svc_multiscalar::{Engine, EngineConfig, TaskSource};
 use svc_sim::profile::Profiler;
 use svc_sim::trace::render_chrome_with_counters;
@@ -20,8 +19,11 @@ use svc_workloads::{kernels, Spec95};
 const GRID_SEED: u64 = 0x9F11E;
 const BUDGET: u64 = 8_000;
 
-fn enable_profiling() {
-    std::env::set_var("SVC_PROFILE", "1");
+fn profiling() -> RunOptions {
+    RunOptions {
+        profile: true,
+        ..RunOptions::default()
+    }
 }
 
 /// Runs the smoke grid and renders its `svc-profile/v1` document.
@@ -37,15 +39,16 @@ fn profile_doc_at(threads: usize) -> String {
         ],
     );
     let seeds = job_seeds(GRID_SEED, jobs.len());
-    let outcome = run_grid_with_threads(&jobs, GRID_SEED, threads, |job, seed| {
-        run_spec95_with(job.bench, job.memory, BUDGET, seed)
+    let opts = profiling();
+    let outcome = run_grid(&jobs, GRID_SEED, threads, |job, seed| {
+        run_spec95_with(job.bench, job.memory, BUDGET, seed, &opts)
     });
     let runs = outcome
         .results
         .iter()
         .zip(&seeds)
         .map(|(r, &s)| {
-            let p = r.profile.as_ref().expect("SVC_PROFILE=1 yields profiles");
+            let p = r.profile.as_ref().expect("profiling yields profiles");
             assert!(p.conservation_ok(), "grid cell violates conservation");
             Json::obj()
                 .set("workload", "cell".into())
@@ -58,7 +61,6 @@ fn profile_doc_at(threads: usize) -> String {
 
 #[test]
 fn profile_json_byte_identical_at_1_2_and_8_threads() {
-    enable_profiling();
     let serial = profile_doc_at(1);
     for threads in [2, 8] {
         assert_eq!(
@@ -71,7 +73,6 @@ fn profile_json_byte_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn profile_doc_parses_as_svc_profile_v1() {
-    enable_profiling();
     let doc = report::parse(&profile_doc_at(2)).expect("profile doc parses");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
@@ -106,8 +107,8 @@ fn profile_doc_parses_as_svc_profile_v1() {
 
 #[test]
 fn chrome_counter_tracks_render_alongside_events() {
-    enable_profiling();
-    let result = run_spec95_with(Spec95::Gcc, MemoryKind::Svc { kb_per_cache: 8 }, BUDGET, 7);
+    let memory = MemoryKind::Svc { kb_per_cache: 8 };
+    let result = run_spec95_with(Spec95::Gcc, memory, BUDGET, 7, &profiling());
     let counters = profile_counter_series(result.profile.as_ref().expect("profiled"));
     assert!(counters.iter().any(|(name, _)| name == "ipc"));
     let chrome = render_chrome_with_counters(&[], "counters-smoke", &counters);

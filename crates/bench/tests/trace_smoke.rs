@@ -4,12 +4,12 @@
 //! harness, and a disabled tracer leaves the experiment JSON
 //! byte-identical to a run that never saw one.
 
-use svc_bench::harness::run_grid_with_threads;
+use svc_bench::harness::run_grid;
 use svc_bench::report::{self, experiment_result_json};
-use svc_bench::{run_source, run_source_with, MemoryKind, NUM_PUS};
+use svc_bench::{prepare_engine, run_source, MemoryKind, RunOptions, NUM_PUS};
 use svc_multiscalar::EngineConfig;
 use svc_sim::forensics;
-use svc_sim::trace::{render_chrome, render_jsonl, Category, Tracer, DEFAULT_CAPACITY};
+use svc_sim::trace::{render_chrome, render_jsonl, Category, Tracer};
 use svc_workloads::kernels;
 
 const BUDGET: u64 = 6_000;
@@ -24,15 +24,12 @@ fn cfg(seed: u64) -> EngineConfig {
 }
 
 fn traced_run(seed: u64) -> (svc_bench::ExperimentResult, Tracer) {
-    let tracer = Tracer::new(Category::ALL, DEFAULT_CAPACITY);
+    let traced = RunOptions {
+        trace: Category::ALL,
+        ..RunOptions::default()
+    };
     let source = kernels::producer_consumer(2_000, 6);
-    let result = run_source_with(
-        &source,
-        MemoryKind::Svc { kb_per_cache: 8 },
-        cfg(seed),
-        tracer.clone(),
-    );
-    (result, tracer)
+    prepare_engine(MemoryKind::Svc { kb_per_cache: 8 }, cfg(seed), &traced).run(&source)
 }
 
 #[test]
@@ -86,7 +83,7 @@ fn traced_jsonl_is_byte_identical_across_thread_counts() {
     // JSONL is byte-identical at any worker count.
     let jobs = [3u64, 5, 7, 11];
     let render = |threads: usize| -> Vec<String> {
-        run_grid_with_threads(&jobs, 0xACE5, threads, |&salt, seed| {
+        run_grid(&jobs, 0xACE5, threads, |&salt, seed| {
             let (_, tracer) = traced_run(seed ^ salt);
             render_jsonl(&tracer.records())
         })
@@ -104,17 +101,17 @@ fn traced_jsonl_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn disabled_tracer_leaves_experiment_json_byte_identical() {
-    // A run with a disabled tracer attached must report exactly what an
-    // untraced run reports — the zero-cost claim, checked end to end
-    // through the serialized experiment JSON (stats, metrics registry
-    // and all).
+fn tracing_leaves_experiment_json_byte_identical() {
+    // A traced run must report exactly what an untraced run reports —
+    // the observer claim, checked end to end through the serialized
+    // experiment JSON (stats, metrics registry and all).
     let source = kernels::producer_consumer(2_000, 6);
     let memory = MemoryKind::Svc { kb_per_cache: 8 };
-    let plain = run_source(&source, memory, cfg(42));
-    let disabled = run_source_with(&source, memory, cfg(42), Tracer::disabled());
+    let plain = run_source(&source, memory, cfg(42), &RunOptions::default());
+    let (traced, tracer) = traced_run(42);
+    assert!(!tracer.records().is_empty());
     assert_eq!(
         experiment_result_json(&plain, 42).render(),
-        experiment_result_json(&disabled, 42).render()
+        experiment_result_json(&traced, 42).render()
     );
 }

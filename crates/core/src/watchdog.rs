@@ -43,14 +43,21 @@ use svc_types::{Cycle, InvariantKind, InvariantViolation, LineId, PuId};
 
 use crate::snapshot::LineSnapshot;
 use crate::system::SvcSystem;
-use crate::vol::order_vol;
+use crate::vol::vol_indices;
+
+/// The empty entry of the watchdog's scratch tables.
+const NONE: u32 = u32::MAX;
 
 /// Runs every whole-system invariant check. Returns all violations found
 /// (empty for a healthy system).
 pub fn check_system(sys: &SvcSystem, now: Cycle) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
+    // Per-PU scratch for `check_line`, all NONE between lines.
+    let n = sys.config().num_pus;
+    let mut scratch: SmallVec<u32, 16> = (0..2 * n).map(|_| NONE).collect();
+    let (index, mark) = scratch.split_at_mut(n);
     for line in sys.resident_lines() {
-        check_line(sys, line, &sys.snapshots(line), now, &mut out);
+        check_line(sys, line, &sys.snapshots(line), now, index, mark, &mut out);
     }
     for (pu, line, detail) in sys.presence_mismatches() {
         out.push(InvariantViolation {
@@ -95,16 +102,24 @@ fn violation(
     }
 }
 
+/// Checks one line in time linear in its holders, with no table of its
+/// own but the holder list (inline up to 8): `index[pu]` is the PU's
+/// position among the holders, `mark[k]` first the walk that reached
+/// holder `k`, then its VOL rank. Both are all NONE before and after.
 fn check_line(
     sys: &SvcSystem,
     line: LineId,
     snaps: &[LineSnapshot],
     now: Cycle,
+    index: &mut [u32],
+    mark: &mut [u32],
     out: &mut Vec<InvariantViolation>,
 ) {
-    let holders: SmallVec<&LineSnapshot, 8> = snaps.iter().filter(|s| s.is_valid()).collect();
+    // The holders, as indices into `snaps`.
+    let holders: SmallVec<usize, 8> = (0..snaps.len()).filter(|&i| snaps[i].is_valid()).collect();
+    let holders = &holders[..];
     let mut orphaned = false;
-    for s in &holders {
+    for s in holders.iter().map(|&i| &snaps[i]) {
         if !s.store.minus(s.valid).is_empty() {
             out.push(violation(
                 InvariantKind::StateBits,
@@ -153,29 +168,40 @@ fn check_line(
         }
     }
 
-    // VOL acyclicity: walk the next pointers from every holder; a pointer
-    // to a non-holder is a legal dangling end, but revisiting a holder
-    // already on the walk is a cycle. Report at most once per line.
-    'walks: for start in &holders {
-        let mut visited: SmallVec<PuId, 8> = SmallVec::new();
-        visited.push(start.pu);
-        let mut cur = start.next;
-        while let Some(q) = cur {
-            let Some(next_snap) = holders.iter().find(|s| s.pu == q) else {
-                break; // dangling: squash repair pending
-            };
-            if visited.contains(&q) {
-                out.push(violation(
-                    InvariantKind::VolCycle,
-                    Some(q),
-                    line,
-                    now,
-                    format!("VOL pointer walk from {} revisits {}", start.pu, q),
-                ));
-                break 'walks;
+    for (k, &i) in holders.iter().enumerate() {
+        index[snaps[i].pu.index()] = k as u32;
+    }
+    // The holder that holder k's `next` pointer names (NONE for no
+    // pointer, or one to a non-holder: a legal dangling end).
+    let succ = |index: &[u32], k: usize| {
+        let next = snaps[holders[k]].next;
+        next.and_then(|q| index.get(q.index()).copied())
+            .unwrap_or(NONE)
+    };
+
+    // VOL acyclicity: follow the pointers from each holder in turn.
+    // Revisiting a holder of the current walk is a cycle, reported once
+    // per line; reaching one an earlier walk visited ends the walk (that
+    // walk ended at a dangling end), so each holder is walked once.
+    'walks: for start in 0..holders.len() {
+        let mut k = start;
+        while mark[k] == NONE {
+            mark[k] = start as u32;
+            match succ(index, k) {
+                NONE => continue 'walks,
+                next => k = next as usize,
             }
-            visited.push(q);
-            cur = next_snap.next;
+        }
+        if mark[k] == start as u32 {
+            let (from, q) = (snaps[holders[start]].pu, snaps[holders[k]].pu);
+            out.push(violation(
+                InvariantKind::VolCycle,
+                Some(q),
+                line,
+                now,
+                format!("VOL pointer walk from {from} revisits {q}"),
+            ));
+            break;
         }
     }
 
@@ -183,17 +209,12 @@ fn check_line(
     // with the reconstruction. (Skipped if an orphan was found — the
     // reconstruction needs every uncommitted holder to have a task.)
     if !orphaned {
-        let vol = order_vol(snaps);
-        for s in holders.iter().filter(|s| !vol.contains(&s.pu)) {
-            out.push(violation(
-                InvariantKind::VolOrder,
-                Some(s.pu),
-                line,
-                now,
-                "holder missing from the reconstructed VOL".to_string(),
-            ));
+        // The reconstruction places every holder: mark[k] becomes its rank.
+        for (pos, i) in vol_indices(snaps).into_iter().enumerate() {
+            mark[index[snaps[i].pu.index()] as usize] = pos as u32;
         }
-        for s in &holders {
+        for (k, &i) in holders.iter().enumerate() {
+            let s = &snaps[i];
             // Local reuse of a passive architectural copy (§3.4.3/§3.5.1)
             // clears C and adopts the line for the PU's current task
             // *without* a bus transaction, so its stored pointer is an
@@ -203,10 +224,11 @@ fn check_line(
             if !s.committed && s.arch {
                 continue;
             }
-            let Some(q) = s.next else { continue };
-            let Some(dst) = holders.iter().find(|h| h.pu == q) else {
-                continue; // dangling: squash repair pending
-            };
+            let d = succ(index, k);
+            if d == NONE {
+                continue; // no pointer, or dangling: squash repair pending
+            }
+            let dst = &snaps[holders[d as usize]];
             // A squash flash-reverts architectural copies back to
             // committed (C/A optimization) without repairing inbound
             // pointers, so an uncommitted holder legally pointing at a
@@ -215,22 +237,23 @@ fn check_line(
             if !s.committed && dst.committed {
                 continue;
             }
-            let (Some(i), Some(j)) = (
-                vol.iter().position(|&p| p == s.pu),
-                vol.iter().position(|&p| p == q),
-            ) else {
-                continue; // missing from the VOL: handled above
-            };
-            if j <= i {
+            if mark[d as usize] <= mark[k] {
                 out.push(violation(
                     InvariantKind::VolOrder,
                     Some(s.pu),
                     line,
                     now,
-                    format!("VOL pointer {} -> {} runs against program order", s.pu, q),
+                    format!(
+                        "VOL pointer {} -> {} runs against program order",
+                        s.pu, dst.pu
+                    ),
                 ));
             }
         }
+    }
+    for (k, &i) in holders.iter().enumerate() {
+        index[snaps[i].pu.index()] = NONE;
+        mark[k] = NONE;
     }
 }
 
@@ -290,6 +313,71 @@ mod tests {
                 .any(|v| v.kind == InvariantKind::VolCycle || v.kind == InvariantKind::VolOrder),
             "got {found:?}"
         );
+    }
+
+    /// More holders than any inline table holds, with the cycle closed
+    /// far down the walk: 0 -> 1 -> ... -> 135 -> 120. Reported once,
+    /// naming the first revisited holder.
+    #[test]
+    fn long_chain_cycle_far_down_the_walk_is_reported_once() {
+        const HOLDERS: usize = 136;
+        let sys = SvcSystem::new(SvcConfig::final_design(HOLDERS));
+        let snaps: Vec<LineSnapshot> = (0..HOLDERS)
+            .map(|i| LineSnapshot {
+                pu: PuId(i),
+                task: Some(TaskId(i as u64)),
+                valid: crate::mask::SubMask::all(1),
+                store: crate::mask::SubMask::EMPTY,
+                load: crate::mask::SubMask::EMPTY,
+                committed: true,
+                stale: false,
+                arch: false,
+                next: Some(PuId(if i + 1 < HOLDERS { i + 1 } else { 120 })),
+            })
+            .collect();
+        let (mut index, mut mark) = (vec![NONE; HOLDERS], vec![NONE; HOLDERS]);
+        let mut out = Vec::new();
+        let line = LineId(3);
+        check_line(
+            &sys,
+            line,
+            &snaps,
+            Cycle(9),
+            &mut index,
+            &mut mark,
+            &mut out,
+        );
+        let cycles: Vec<_> = out
+            .iter()
+            .filter(|v| v.kind == InvariantKind::VolCycle)
+            .collect();
+        assert_eq!(cycles.len(), 1, "got {out:?}");
+        assert_eq!(cycles[0].pu, Some(PuId(120)));
+        assert_eq!(cycles[0].detail, "VOL pointer walk from PU0 revisits PU120");
+        assert!(
+            index.iter().chain(&mark).all(|&k| k == NONE),
+            "tables left dirty"
+        );
+    }
+
+    /// The same end to end: 136 PUs share a line and the drill bends the
+    /// youngest copy's pointer back to the oldest.
+    #[test]
+    fn spliced_vol_over_136_holders_is_reported_once() {
+        const PUS: usize = 136;
+        let mut sys = SvcSystem::new(SvcConfig::final_design(PUS));
+        for i in 0..PUS {
+            sys.assign(PuId(i), TaskId(i as u64));
+            sys.load(PuId(i), Addr(64), Cycle(i as u64)).unwrap();
+        }
+        assert_eq!(check_system(&sys, Cycle(200)), Vec::new());
+        assert!(sys.fault_splice_vol(Addr(64)));
+        let found = check_system(&sys, Cycle(200));
+        let cycles = found
+            .iter()
+            .filter(|v| v.kind == InvariantKind::VolCycle)
+            .count();
+        assert_eq!(cycles, 1, "got {found:?}");
     }
 
     #[test]

@@ -295,6 +295,7 @@ pub struct Engine<M> {
     epoch_sink: Option<Box<dyn EpochSink>>,
     watchdog_every: u64,
     violations: Vec<InvariantViolation>,
+    fast_forward: bool,
     // -- run cursor ---------------------------------------------------
     // The scheduler loop's progress, kept on the engine (rather than as
     // locals of `run`) so a run can be suspended at a cycle boundary,
@@ -361,6 +362,7 @@ impl<M: VersionedMemory> Engine<M> {
             epoch_sink: None,
             watchdog_every: 0,
             violations: Vec::new(),
+            fast_forward: true,
             now: Cycle::ZERO,
             committed_instrs: 0,
             committed_tasks: 0,
@@ -427,6 +429,13 @@ impl<M: VersionedMemory> Engine<M> {
         self.next_watchdog = every;
     }
 
+    /// Whether idle cycles are jumped over (the default) or stepped one
+    /// by one. Stepping is the reference behavior the fast-forward
+    /// differential test compares against; the results are identical.
+    pub fn set_fast_forward(&mut self, enabled: bool) {
+        self.fast_forward = enabled;
+    }
+
     /// Attaches a periodic snapshot consumer, driven at profiler-epoch
     /// boundaries (see [`EpochSink`]). Requires an enabled profiler with
     /// a non-zero sampling epoch to ever fire.
@@ -478,13 +487,12 @@ impl<M: VersionedMemory> Engine<M> {
     pub fn run_until(&mut self, source: &dyn TaskSource, stop_at: Option<u64>) -> bool {
         // Idle-cycle fast-forward: when no PU can make progress this
         // cycle, jump the clock to the earliest cycle anything can
-        // happen instead of ticking empty cycles. `SVC_NO_FASTFORWARD=1`
-        // forces cycle-by-cycle stepping (the reference behavior the
-        // differential test compares against); an active fault injector
+        // happen instead of ticking empty cycles, unless
+        // `set_fast_forward` turned it off. An active fault injector
         // disables jumping too, because injection sites draw from their
         // schedule once per scheduler iteration, so skipping iterations
         // would change the fault timeline.
-        let fast_forward = !std::env::var("SVC_NO_FASTFORWARD").is_ok_and(|v| v == "1");
+        let fast_forward = self.fast_forward;
 
         loop {
             let now = self.now;

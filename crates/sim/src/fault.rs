@@ -37,6 +37,7 @@
 //! ```
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 use svc_types::{LineId, PuId};
@@ -198,6 +199,20 @@ impl FaultConfig {
             cfg.rates[site as usize] = rate;
         }
         Ok(cfg)
+    }
+}
+
+/// The spec [`FaultConfig::parse`] reads back as this config: each
+/// firing site's `name=rate`, then `penalty=N`.
+impl fmt::Display for FaultConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for site in FaultSite::EVERY {
+            let rate = self.rates[site as usize];
+            if rate > 0.0 {
+                write!(f, "{}={rate},", site.name())?;
+            }
+        }
+        write!(f, "penalty={}", self.max_penalty)
     }
 }
 
@@ -389,22 +404,6 @@ impl Faults {
         }
     }
 
-    /// Builds an injector from the environment: `SVC_FAULTS` holds the
-    /// spec (see [`FaultConfig::parse`]; unset or empty disables
-    /// injection, a malformed spec disables it with a warning).
-    pub fn from_env(seed: u64) -> Faults {
-        let Some(spec) = std::env::var("SVC_FAULTS").ok().filter(|s| !s.is_empty()) else {
-            return Faults::disabled();
-        };
-        match FaultConfig::parse(&spec) {
-            Ok(cfg) => Faults::new(&cfg, seed),
-            Err(e) => {
-                eprintln!("SVC_FAULTS: {e}; fault injection disabled");
-                Faults::disabled()
-            }
-        }
-    }
-
     /// Whether any site can fire — the single branch on the fast path.
     #[inline]
     pub fn is_active(&self) -> bool {
@@ -503,6 +502,19 @@ impl svc_types::Checkpointable for Faults {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_round_trips_through_display() {
+        for spec in [
+            "",
+            "all=0.01, penalty=5",
+            "bus_drop=0.3,vcl_delay=1",
+            "mem_jitter=1e-7",
+        ] {
+            let cfg = FaultConfig::parse(spec).unwrap();
+            assert_eq!(FaultConfig::parse(&cfg.to_string()), Ok(cfg), "{spec:?}");
+        }
+    }
 
     #[test]
     fn disabled_injector_never_fires() {

@@ -414,32 +414,6 @@ impl Profiler {
         }
     }
 
-    /// Builds a profiler from the environment: any non-empty
-    /// `SVC_PROFILE` other than `0` enables it, `SVC_PROFILE_EPOCH`
-    /// overrides the sampling epoch (default [`DEFAULT_EPOCH`]; `0`
-    /// disables sampling), and `SVC_PROFILE_WINDOW` caps interval
-    /// retention (default unbounded).
-    pub fn from_env(num_pus: usize) -> Profiler {
-        let on = std::env::var("SVC_PROFILE")
-            .ok()
-            .is_some_and(|v| !v.is_empty() && v != "0");
-        if !on {
-            return Profiler::disabled();
-        }
-        let epoch = std::env::var("SVC_PROFILE_EPOCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_EPOCH);
-        let p = Profiler::new(num_pus, epoch);
-        if let Some(window) = std::env::var("SVC_PROFILE_WINDOW")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            p.set_window(window);
-        }
-        p
-    }
-
     /// Caps interval-sample retention at the `window` most recent rows
     /// (`0` = unbounded, the default). Older rows are evicted as new
     /// samples arrive and counted in
@@ -1087,13 +1061,5 @@ mod tests {
         let r = p.report().unwrap();
         assert_eq!(r.samples.len(), 2);
         assert_eq!(r.samples[1].cycle, 30);
-    }
-
-    #[test]
-    fn from_env_defaults_to_disabled() {
-        // The test environment does not set SVC_PROFILE.
-        if std::env::var("SVC_PROFILE").is_err() {
-            assert!(!Profiler::from_env(4).is_active());
-        }
     }
 }

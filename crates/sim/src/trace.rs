@@ -725,29 +725,6 @@ impl Tracer {
         }
     }
 
-    /// Builds a tracer from the environment: `SVC_TRACE` holds the
-    /// category filter (`all` or `bus,vol,...`; unset or empty disables
-    /// tracing, unknown categories disable tracing with a warning) and
-    /// `SVC_TRACE_CAP` overrides the ring capacity.
-    pub fn from_env() -> Tracer {
-        let Some(spec) = std::env::var("SVC_TRACE").ok().filter(|s| !s.is_empty()) else {
-            return Tracer::disabled();
-        };
-        let mask = match parse_filter(&spec) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("SVC_TRACE: {e}; tracing disabled");
-                return Tracer::disabled();
-            }
-        };
-        let capacity = std::env::var("SVC_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        Tracer::new(mask, capacity)
-    }
-
     /// Whether `cat` is being recorded — the single branch on the fast
     /// path.
     #[inline]

@@ -6,7 +6,7 @@
 //! apsi (default: gcc) and `budget` is the committed-instruction budget
 //! (default: 200000).
 
-use svc_repro::bench::{run_spec95_with, MemoryKind};
+use svc_repro::bench::{run_spec95_with, MemoryKind, RunOptions};
 use svc_repro::workloads::Spec95;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
             cache_kb: 32,
         },
     ] {
-        let r = run_spec95_with(bench, memory, budget, 42);
+        let r = run_spec95_with(bench, memory, budget, 42, &RunOptions::default());
         println!("{}:", r.memory);
         println!("  IPC              {:.2}", r.ipc);
         println!("  miss ratio       {:.3}", r.miss_ratio);

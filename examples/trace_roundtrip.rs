@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example trace_roundtrip`
 
-use svc_repro::bench::{run_source, MemoryKind};
+use svc_repro::bench::{run_source, MemoryKind, RunOptions};
 use svc_repro::multiscalar::{EngineConfig, TaskSource};
 use svc_repro::types::TaskId;
 use svc_repro::workloads::{kernels, parse_trace, render_trace};
@@ -29,9 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nround trip verified for all tasks ✓");
 
     // Run both; the simulation is deterministic, so results must match.
-    let cfg = EngineConfig::default();
-    let a = run_source(&original, MemoryKind::Svc { kb_per_cache: 8 }, cfg);
-    let b = run_source(&imported, MemoryKind::Svc { kb_per_cache: 8 }, cfg);
+    let (cfg, opts) = (EngineConfig::default(), RunOptions::default());
+    let a = run_source(&original, MemoryKind::Svc { kb_per_cache: 8 }, cfg, &opts);
+    let b = run_source(&imported, MemoryKind::Svc { kb_per_cache: 8 }, cfg, &opts);
     println!("original IPC {:.3}, imported IPC {:.3}", a.ipc, b.ipc);
     assert_eq!(a.report, b.report);
     println!("identical runs ✓ (use `svc-sim run --trace FILE` for your own traces)");

@@ -23,6 +23,7 @@
 use std::process::ExitCode;
 
 use svc_bench::cli::CliError;
+use svc_bench::options::{self, RunOptions};
 use svc_bench::report;
 use svc_check::{
     design_for_mutation, explore_design, replay_design, DesignId, Limits, Script, ALL_DESIGNS,
@@ -258,10 +259,10 @@ fn cmd_mutations(mut args: Vec<String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_report(args: Vec<String>) -> Result<(), CliError> {
+fn cmd_report(args: Vec<String>, opts: &RunOptions) -> Result<(), CliError> {
     reject_leftovers(&args)?;
     let doc = svc_bench::checkgate::fresh_check_doc().map_err(CliError::Invariant)?;
-    let path = report::write_experiment("check", &doc)
+    let path = report::write_experiment(&opts.results_dir, "check", &doc)
         .map_err(|e| CliError::io("results/check.json", e))?;
     println!("check document written: {}", path.display());
     Ok(())
@@ -274,20 +275,14 @@ fn main() -> ExitCode {
         return ExitCode::from(svc_bench::cli::EXIT_USAGE);
     }
     let cmd = args.remove(0);
-    let result = match cmd.as_str() {
+    let result = RunOptions::parse(options::env).and_then(|opts| match cmd.as_str() {
         "explore" => cmd_explore(args),
         "replay" => cmd_replay(args),
         "mutations" => cmd_mutations(args),
-        "report" => cmd_report(args),
+        "report" => cmd_report(args, &opts),
         other => Err(CliError::Usage(format!(
             "unknown subcommand {other:?}\n{USAGE}"
         ))),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    });
+    svc_bench::cli::exit_report(result)
 }

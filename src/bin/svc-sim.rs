@@ -56,10 +56,11 @@
 use std::process::ExitCode;
 
 use svc_repro::bench::cli::CliError;
+use svc_repro::bench::options::{self, RunOptions, ATTACHMENT_KNOBS};
 use svc_repro::bench::report::Json;
 use svc_repro::bench::{
-    prepare_engine, report, run_source, run_source_with, soak, ExperimentResult, MemoryKind,
-    Prepared, PreparedEngine, NUM_PUS,
+    prepare_engine, report, run_source, soak, ExperimentResult, MemoryKind, Prepared,
+    PreparedEngine, NUM_PUS,
 };
 use svc_repro::multiscalar::{Engine, EngineConfig, TaskSource, VecTaskSource};
 use svc_repro::sim::checkpoint::{self, CheckpointRing};
@@ -303,6 +304,42 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
+impl Options {
+    /// Whether the flags ask for a trace (`--trace`, or the `trace`
+    /// subcommand), which `svc-sim` prints or writes itself.
+    fn traced(&self) -> bool {
+        self.trace || self.command == "trace"
+    }
+}
+
+/// Values of the [`ATTACHMENT_KNOBS`], in order, as a run checkpoint's
+/// header records them.
+type Attachments = [Option<String>; ATTACHMENT_KNOBS.len()];
+
+/// Resolves the run options: the flags answer the knobs they stand for
+/// (`--profile` is `SVC_PROFILE=1`, `--trace`/`--trace-filter` is
+/// `SVC_TRACE`), a resumed run's checkpoint `header` answers the
+/// attachment knobs, and the environment answers the rest.
+fn run_options(o: &Options, header: Option<&Attachments>) -> Result<RunOptions, CliError> {
+    RunOptions::parse(|name| {
+        if let (Some(values), Some(i)) = (header, ATTACHMENT_KNOBS.iter().position(|&k| k == name))
+        {
+            return values[i].clone();
+        }
+        match name {
+            "SVC_PROFILE" if o.profile => Some("1".to_string()),
+            // The trace ring is an observer, not simulation state: it is
+            // not part of a checkpoint, so a resumed run could not
+            // reproduce it.
+            "SVC_TRACE" if o.checkpoint_out.is_some() => None,
+            "SVC_TRACE" if o.traced() => Some(o.trace_filter.clone()),
+            // Flag-driven traces go to `--trace-out` or stdout instead.
+            "SVC_TRACE_OUT" if o.traced() => None,
+            _ => options::env(name),
+        }
+    })
+}
+
 fn lookup_bench(name: &str) -> Result<Spec95, String> {
     Spec95::ALL
         .into_iter()
@@ -365,22 +402,6 @@ fn memory_kind(o: &Options) -> MemoryKind {
     }
 }
 
-/// Builds the tracer the options ask for (`Tracer::disabled()` when
-/// tracing is off; ring capacity from `SVC_TRACE_CAP` as usual).
-fn cli_tracer(o: &Options, force: bool) -> Result<Tracer, CliError> {
-    if !o.trace && !force {
-        return Ok(Tracer::disabled());
-    }
-    let mask = trace::parse_filter(&o.trace_filter)
-        .map_err(|e| CliError::Usage(format!("--trace-filter: {e}")))?;
-    let capacity = std::env::var("SVC_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(trace::DEFAULT_CAPACITY);
-    Ok(Tracer::new(mask, capacity))
-}
-
 /// Builds the selected workload (bench/kernel/replay), its display
 /// name, and the engine configuration it implies. Pure construction —
 /// shared by the direct runner and the checkpoint/resume drivers, which
@@ -405,22 +426,22 @@ fn select_source(o: &Options) -> Result<(Box<dyn TaskSource>, String, EngineConf
 }
 
 /// Runs the selected workload (bench/kernel/replay) on the selected
-/// memory system. An active `tracer` is attached explicitly; a disabled
-/// one falls back to [`run_source`], which keeps the `SVC_TRACE` /
-/// `SVC_TRACE_OUT` environment knobs working. Returns the result and
-/// the workload's display name.
+/// memory system. Returns the result, the workload's display name, and
+/// the tracer the flags asked for (disabled without them; an
+/// `SVC_TRACE` run writes its sinks to `SVC_TRACE_OUT` in
+/// [`run_source`]).
 fn run_selected(
     o: &Options,
-    tracer: Tracer,
-) -> Result<(svc_repro::bench::ExperimentResult, String), CliError> {
+    run: &RunOptions,
+) -> Result<(ExperimentResult, String, Tracer), CliError> {
     let memory = memory_kind(o);
     let (src, name, cfg) = select_source(o)?;
-    let result = if tracer.is_active() {
-        run_source_with(src.as_ref(), memory, cfg, tracer)
-    } else {
-        run_source(src.as_ref(), memory, cfg)
-    };
-    Ok((result, name))
+    if o.traced() {
+        let (result, tracer) = prepare_engine(memory, cfg, run).run(src.as_ref());
+        return Ok((result, name, tracer));
+    }
+    let result = run_source(src.as_ref(), memory, cfg, run);
+    Ok((result, name, Tracer::disabled()))
 }
 
 // ---------------------------------------------------------------------
@@ -430,21 +451,10 @@ fn run_selected(
 /// Kind tag of a `run` checkpoint (header + engine state).
 const RUN_CKPT_KIND: &str = "svc-run/v1";
 
-/// Environment knobs that shape the engine's attachments
-/// (profiler/watchdog/faults). They are part of a run checkpoint's
-/// header so `resume` rebuilds identical attachments no matter what the
-/// resuming shell exported.
-const HEADER_ENV: [&str; 5] = [
-    "SVC_PROFILE",
-    "SVC_PROFILE_EPOCH",
-    "SVC_PROFILE_WINDOW",
-    "SVC_WATCHDOG",
-    "SVC_FAULTS",
-];
-
 /// Serializes everything `resume` needs to rebuild the workload, the
-/// memory system, and the engine attachments before restoring state.
-fn save_run_header(o: &Options, w: &mut CkptWriter) {
+/// memory system, and the engine attachments (as their knobs' values,
+/// whatever the resuming shell exports) before restoring state.
+fn save_run_header(o: &Options, run: &RunOptions, w: &mut CkptWriter) {
     if let Some(path) = &o.replay {
         w.put_u8(2);
         w.put_str(path);
@@ -461,20 +471,17 @@ fn save_run_header(o: &Options, w: &mut CkptWriter) {
     w.put_u64(o.budget);
     w.put_u64(o.seed);
     w.put_usize(o.pus);
-    for key in HEADER_ENV {
-        match std::env::var(key) {
-            Ok(v) => {
-                w.put_bool(true);
-                w.put_str(&v);
-            }
-            Err(_) => w.put_bool(false),
+    for value in run.attachment_values() {
+        w.put_bool(value.is_some());
+        if let Some(v) = value {
+            w.put_str(&v);
         }
     }
 }
 
-/// Rebuilds the run options a checkpoint header describes and restores
-/// the attachment env knobs into this process.
-fn restore_run_header(r: &mut CkptReader<'_>) -> Result<Options, CkptError> {
+/// Rebuilds the command-line options and the attachment knob values a
+/// checkpoint header describes.
+fn restore_run_header(r: &mut CkptReader<'_>) -> Result<(Options, Attachments), CkptError> {
     let mut o = Options {
         command: "run".to_string(),
         ..Options::default()
@@ -502,14 +509,13 @@ fn restore_run_header(r: &mut CkptReader<'_>) -> Result<Options, CkptError> {
     if o.pus == 0 {
         return Err(CkptError::corrupt("checkpoint with 0 PUs"));
     }
-    for key in HEADER_ENV {
+    let mut values = Attachments::default();
+    for value in &mut values {
         if r.take_bool()? {
-            std::env::set_var(key, r.take_str()?);
-        } else {
-            std::env::remove_var(key);
+            *value = Some(r.take_str()?);
         }
     }
-    Ok(o)
+    Ok((o, values))
 }
 
 /// Startup probe: `path`'s parent directory must exist (created if
@@ -531,17 +537,18 @@ fn probe_writable(path: &std::path::Path) -> Result<(), CliError> {
 }
 
 /// Drives a prepared engine to completion, atomically rewriting the
-/// checkpoint file at every `--checkpoint-every` cycle boundary.
+/// `--checkpoint-out` file at every `--checkpoint-every` cycle boundary.
 fn drive_checkpointed<M>(
     p: &mut Prepared<M>,
     source: &dyn TaskSource,
     name: &str,
     o: &Options,
-    out: &std::path::Path,
+    run: &RunOptions,
 ) -> Result<ExperimentResult, CliError>
 where
     M: VersionedMemory + Checkpointable,
 {
+    let out = std::path::Path::new(o.checkpoint_out.as_deref().expect("caller checked"));
     let every = o.checkpoint_every;
     loop {
         let stop = match every {
@@ -552,7 +559,7 @@ where
             break;
         }
         let mut w = CkptWriter::new();
-        save_run_header(o, &mut w);
+        save_run_header(o, run, &mut w);
         p.engine.save_state(&mut w);
         let blob = checkpoint::encode(RUN_CKPT_KIND, &w.into_bytes());
         checkpoint::write_atomic(out, &blob).map_err(|e| CliError::io(out.display(), e))?;
@@ -564,13 +571,14 @@ where
 /// The checkpointing variant of [`run_selected`]: same workload, same
 /// memory system, same attachments, but driven in `--checkpoint-every`
 /// slices with the engine state flushed between them.
-fn run_checkpointed(o: &Options) -> Result<(ExperimentResult, String), CliError> {
+fn run_checkpointed(o: &Options, run: &RunOptions) -> Result<(ExperimentResult, String), CliError> {
     let (src, name, cfg) = select_source(o)?;
+    let src = src.as_ref();
     let out = std::path::PathBuf::from(o.checkpoint_out.as_deref().expect("caller checked"));
     probe_writable(&out)?;
-    let result = match prepare_engine(memory_kind(o), cfg, Tracer::disabled()) {
-        PreparedEngine::Svc(mut p) => drive_checkpointed(&mut p, src.as_ref(), &name, o, &out)?,
-        PreparedEngine::Arb(mut p) => drive_checkpointed(&mut p, src.as_ref(), &name, o, &out)?,
+    let result = match prepare_engine(memory_kind(o), cfg, run) {
+        PreparedEngine::Svc(mut p) => drive_checkpointed(&mut p, src, &name, o, run)?,
+        PreparedEngine::Arb(mut p) => drive_checkpointed(&mut p, src, &name, o, run)?,
     };
     Ok((result, name))
 }
@@ -608,13 +616,14 @@ fn load_checkpoint(
 }
 
 /// `svc-sim resume <ckpt>`: restart a checkpointed `run` or soak from
-/// its saved state and carry it to completion.
+/// its saved state and carry it to completion (a run takes its
+/// attachment knobs from the checkpoint header).
 fn cmd_resume(o: &Options) -> Result<(), CliError> {
     let given = std::path::PathBuf::from(o.resume_path.as_deref().expect("parse checked"));
     let (ckpt_path, kind, payload) = load_checkpoint(&given, o.checkpoint_keep)?;
     match kind.as_str() {
         RUN_CKPT_KIND => resume_run(o, &ckpt_path, &payload),
-        soak::SOAK_CKPT_KIND => resume_soak(o, &given, &payload),
+        soak::SOAK_CKPT_KIND => resume_soak(o, &given, &payload, &run_options(o, None)?),
         other => Err(CliError::Invariant(format!(
             "{}: unknown checkpoint kind {other:?}",
             ckpt_path.display()
@@ -629,22 +638,23 @@ fn cmd_resume(o: &Options) -> Result<(), CliError> {
 fn resume_run(o: &Options, ckpt_path: &std::path::Path, payload: &[u8]) -> Result<(), CliError> {
     let corrupt = |e: CkptError| CliError::Invariant(format!("{}: {e}", ckpt_path.display()));
     let mut r = CkptReader::new(payload);
-    let mut o2 = restore_run_header(&mut r).map_err(corrupt)?;
+    let (mut o2, attachments) = restore_run_header(&mut r).map_err(corrupt)?;
     o2.json = o.json;
     o2.checkpoint_every = o.checkpoint_every;
     o2.checkpoint_out = Some(ckpt_path.display().to_string());
     o2.profile_out = o.profile_out.clone();
+    let run = run_options(&o2, Some(&attachments))?;
 
     let (src, name, cfg) = select_source(&o2)?;
     let started = std::time::Instant::now();
-    let result = match prepare_engine(memory_kind(&o2), cfg, Tracer::disabled()) {
+    let result = match prepare_engine(memory_kind(&o2), cfg, &run) {
         PreparedEngine::Svc(mut p) => {
             p.engine
                 .restore_state(&mut r)
                 .and_then(|()| r.finish())
                 .map_err(corrupt)?;
             eprintln!("resume: {} at cycle {}", name, p.engine.cycle());
-            drive_checkpointed(&mut p, src.as_ref(), &name, &o2, ckpt_path)?
+            drive_checkpointed(&mut p, src.as_ref(), &name, &o2, &run)?
         }
         PreparedEngine::Arb(mut p) => {
             p.engine
@@ -652,7 +662,7 @@ fn resume_run(o: &Options, ckpt_path: &std::path::Path, payload: &[u8]) -> Resul
                 .and_then(|()| r.finish())
                 .map_err(corrupt)?;
             eprintln!("resume: {} at cycle {}", name, p.engine.cycle());
-            drive_checkpointed(&mut p, src.as_ref(), &name, &o2, ckpt_path)?
+            drive_checkpointed(&mut p, src.as_ref(), &name, &o2, &run)?
         }
     };
     let wall_s = started.elapsed().as_secs_f64();
@@ -662,7 +672,12 @@ fn resume_run(o: &Options, ckpt_path: &std::path::Path, payload: &[u8]) -> Resul
 /// Resumes a soak checkpoint: restore config + cumulative state and
 /// re-enter the serve loop (telemetry server, ring checkpointing, final
 /// snapshot flush) from the saved tick.
-fn resume_soak(o: &Options, given: &std::path::Path, payload: &[u8]) -> Result<(), CliError> {
+fn resume_soak(
+    o: &Options,
+    given: &std::path::Path,
+    payload: &[u8],
+    run: &RunOptions,
+) -> Result<(), CliError> {
     let (mut cfg, state) = soak::soak_ckpt_restore(payload)
         .map_err(|e| CliError::Invariant(format!("{}: {e}", given.display())))?;
     if o.ticks > 0 {
@@ -678,7 +693,7 @@ fn resume_soak(o: &Options, given: &std::path::Path, payload: &[u8]) -> Result<(
         o2.checkpoint_every = 1;
     }
     eprintln!("resume: soak at tick {}", state.ticks);
-    serve_soak(&o2, cfg, Some(state))
+    serve_soak(&o2, run, cfg, Some(state))
 }
 
 /// Writes (with `--trace-out PREFIX`) or prints the recorded trace.
@@ -812,24 +827,18 @@ fn render_profile(p: &ProfileReport, wpl: u64) -> String {
     out
 }
 
-fn cmd_run(o: &Options) -> Result<(), CliError> {
-    if o.profile {
-        // The harness builds its profiler with `Profiler::from_env`, so
-        // the flag is exactly `SVC_PROFILE=1` for this process.
-        std::env::set_var("SVC_PROFILE", "1");
-    }
+fn cmd_run(o: &Options, run: &RunOptions) -> Result<(), CliError> {
     if o.checkpoint_out.is_some() {
         // Checkpointed runs drive the engine in slices; tracing is
         // rejected at parse time, so the plain path below never races
         // a tracer against the checkpoint cadence.
         let started = std::time::Instant::now();
-        let (result, name) = run_checkpointed(o)?;
+        let (result, name) = run_checkpointed(o, run)?;
         let wall_s = started.elapsed().as_secs_f64();
         return print_run_result(o, &name, &result, wall_s, None, None);
     }
-    let tracer = cli_tracer(o, false)?;
     let started = std::time::Instant::now();
-    let (result, name) = run_selected(o, tracer.clone())?;
+    let (result, name, tracer) = run_selected(o, run)?;
     let wall_s = started.elapsed().as_secs_f64();
     if tracer.is_active() {
         emit_trace(o, &tracer, &name)?;
@@ -970,10 +979,8 @@ fn print_run_result(
 /// `svc-sim profile`: run one profiled cell and print the per-PU cycle
 /// attribution table plus the top wasted-work addresses (`--json`
 /// emits the `svc-profile/v1` document instead).
-fn cmd_profile(o: &Options) -> Result<(), CliError> {
-    std::env::set_var("SVC_PROFILE", "1");
-    let tracer = cli_tracer(o, false)?;
-    let (result, name) = run_selected(o, tracer.clone())?;
+fn cmd_profile(o: &Options, run: &RunOptions) -> Result<(), CliError> {
+    let (result, name, tracer) = run_selected(o, run)?;
     if tracer.is_active() {
         emit_trace(o, &tracer, &name)?;
     }
@@ -1005,10 +1012,9 @@ fn cmd_profile(o: &Options) -> Result<(), CliError> {
 
 /// `svc-sim trace`: run a fully traced cell and print the forensics
 /// report for the line containing `--addr`.
-fn cmd_trace(o: &Options) -> Result<(), CliError> {
+fn cmd_trace(o: &Options, run: &RunOptions) -> Result<(), CliError> {
     let addr = o.addr.expect("parse() enforces --addr for `trace`");
-    let tracer = cli_tracer(o, true)?;
-    let (_, name) = run_selected(o, tracer.clone())?;
+    let (_, name, tracer) = run_selected(o, run)?;
     let records = tracer.records();
     let wpl = words_per_line(o);
     let line = forensics::line_of(svc_repro::types::Addr(addr), wpl);
@@ -1333,7 +1339,7 @@ fn serve_tick_line(s: &soak::SoakState) -> String {
 /// `svc-sim serve`: run the soak loop (unbounded unless `--ticks N`)
 /// while exporting `/metrics`, `/profile` and `/healthz` over HTTP,
 /// then flush the `svc-soak/v1` snapshot on exit.
-fn cmd_serve(o: &Options) -> Result<(), CliError> {
+fn cmd_serve(o: &Options, run: &RunOptions) -> Result<(), CliError> {
     let storm = match &o.storm {
         Some(spec) => StormSchedule::parse(spec).map_err(CliError::Usage)?,
         None => StormSchedule::default(),
@@ -1347,7 +1353,7 @@ fn cmd_serve(o: &Options) -> Result<(), CliError> {
         storm,
         ..soak::SoakConfig::default()
     };
-    serve_soak(o, cfg, None)
+    serve_soak(o, run, cfg, None)
 }
 
 /// The serve loop proper, shared by `serve` (fresh state) and `resume`
@@ -1356,12 +1362,13 @@ fn cmd_serve(o: &Options) -> Result<(), CliError> {
 /// I/O failure (exit 3) before the soak starts, not a panic hours in.
 fn serve_soak(
     o: &Options,
+    run: &RunOptions,
     cfg: soak::SoakConfig,
     resume: Option<soak::SoakState>,
 ) -> Result<(), CliError> {
     let out_path = match &o.out {
         Some(p) => std::path::PathBuf::from(p),
-        None => report::results_dir().join("soak.json"),
+        None => run.results_dir.join("soak.json"),
     };
     probe_writable(&out_path)?;
     let mut ring = match &o.checkpoint_dir {
@@ -1517,18 +1524,21 @@ fn main() -> ExitCode {
             return ExitCode::from(svc_repro::bench::cli::EXIT_USAGE);
         }
     };
-    let result = match opts.command.as_str() {
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "run" => cmd_run(&opts),
-        "trace" => cmd_trace(&opts),
-        "profile" => cmd_profile(&opts),
-        "faults" => cmd_faults(&opts),
-        "serve" => cmd_serve(&opts),
-        "resume" => cmd_resume(&opts),
-        _ => cmd_designs(&opts),
+    let result = if opts.command == "resume" {
+        cmd_resume(&opts)
+    } else {
+        run_options(&opts, None).and_then(|run| match opts.command.as_str() {
+            "list" => {
+                cmd_list();
+                Ok(())
+            }
+            "run" => cmd_run(&opts, &run),
+            "trace" => cmd_trace(&opts, &run),
+            "profile" => cmd_profile(&opts, &run),
+            "faults" => cmd_faults(&opts),
+            "serve" => cmd_serve(&opts, &run),
+            _ => cmd_designs(&opts),
+        })
     };
     svc_repro::bench::cli::exit_report(result)
 }

@@ -415,3 +415,72 @@ fn sigkilled_run_resumes_byte_identical() {
         "resumed run diverged from the uninterrupted reference"
     );
 }
+
+/// The checkpoint header, not the resuming shell, decides a resumed
+/// run's attachments: a run checkpointed under the profiler, the
+/// watchdog and fault injection resumes to the uninterrupted run's
+/// `--json` and profile document whether the resuming shell exports
+/// none of those knobs or different values for each.
+#[test]
+fn checkpoint_header_decides_resumed_attachments() {
+    let knobs = [
+        "SVC_PROFILE",
+        "SVC_PROFILE_EPOCH",
+        "SVC_PROFILE_WINDOW",
+        "SVC_WATCHDOG",
+        "SVC_FAULTS",
+    ];
+    let attached = [
+        ("SVC_PROFILE", "1"),
+        ("SVC_WATCHDOG", "1"),
+        ("SVC_FAULTS", "all=0.01,penalty=4"),
+    ];
+    let svc_sim = |args: &[&str], profile_out: &Path, env: &[(&str, &str)]| {
+        let mut cmd = Command::new(BIN);
+        cmd.args(args).arg("--profile-out").arg(profile_out);
+        for knob in knobs {
+            cmd.env_remove(knob);
+        }
+        let out = cmd
+            .envs(env.iter().copied())
+            .stderr(Stdio::null())
+            .output()
+            .expect("svc-sim");
+        assert!(out.status.success(), "svc-sim {args:?} exited nonzero");
+        let profile = std::fs::read(profile_out).expect("profile document");
+        (normalized(&out.stdout), profile)
+    };
+    let run = [
+        "run", "--bench", "gcc", "--budget", "30000", "--seed", "5", "--json",
+    ];
+    let reference = svc_sim(&run, &scratch("attached-ref.profile.json"), &attached);
+
+    // The file keeps the last checkpoint before the run finished.
+    let ckpt = scratch("attached.svc");
+    let _ = std::fs::remove_file(&ckpt);
+    let ckpt_arg = ckpt.to_str().expect("utf8 path");
+    let checkpointed = [
+        &run[..],
+        &["--checkpoint-out", ckpt_arg, "--checkpoint-every", "8000"],
+    ]
+    .concat();
+    let profile_out = scratch("attached.profile.json");
+    assert_eq!(
+        svc_sim(&checkpointed, &profile_out, &attached),
+        reference,
+        "checkpointing perturbed the run"
+    );
+
+    let different = [
+        ("SVC_PROFILE", "0"),
+        ("SVC_PROFILE_EPOCH", "512"),
+        ("SVC_PROFILE_WINDOW", "3"),
+        ("SVC_WATCHDOG", "0"),
+        ("SVC_FAULTS", "bus_delay=0.5"),
+    ];
+    for env in [&[][..], &different[..]] {
+        let _ = std::fs::remove_file(&profile_out);
+        let resumed = svc_sim(&["resume", ckpt_arg, "--json"], &profile_out, env);
+        assert_eq!(resumed, reference, "resume under {env:?} diverged");
+    }
+}

@@ -5,7 +5,7 @@
 
 use svc_repro::bench::report::{self, Json};
 use svc_repro::bench::{
-    cross, instruction_budget, run_paper_grid, run_spec95_with, MemoryKind, PAPER_SEED,
+    cross, run_paper_grid, run_spec95_with, MemoryKind, RunOptions, PAPER_SEED,
 };
 use svc_repro::workloads::Spec95;
 
@@ -20,11 +20,13 @@ fn arb(bench: Spec95, hit: u64, kb: usize) -> svc_repro::bench::ExperimentResult
         },
         BUDGET,
         42,
+        &RunOptions::default(),
     )
 }
 
 fn svc(bench: Spec95, kb: usize) -> svc_repro::bench::ExperimentResult {
-    run_spec95_with(bench, MemoryKind::Svc { kb_per_cache: kb }, BUDGET, 42)
+    let memory = MemoryKind::Svc { kb_per_cache: kb };
+    run_spec95_with(bench, memory, BUDGET, 42, &RunOptions::default())
 }
 
 #[test]
@@ -87,7 +89,7 @@ fn miss_ratio_gap_directions_match_table2_through_the_harness() {
             MemoryKind::Svc { kb_per_cache: 8 },
         ],
     );
-    let outcome = run_paper_grid(&jobs, instruction_budget(300_000));
+    let outcome = run_paper_grid(&jobs, 300_000, &RunOptions::default());
     for (i, b) in Spec95::ALL.into_iter().enumerate() {
         let a = outcome.results[i * 2].miss_ratio;
         let s = outcome.results[i * 2 + 1].miss_ratio;
@@ -110,7 +112,7 @@ fn bus_utilization_shape_matches_table3_through_the_harness() {
             MemoryKind::Svc { kb_per_cache: 16 },
         ],
     );
-    let outcome = run_paper_grid(&jobs, instruction_budget(BUDGET));
+    let outcome = run_paper_grid(&jobs, BUDGET, &RunOptions::default());
     let util8 = |i: usize| outcome.results[i * 2].bus_utilization;
     let util16 = |i: usize| outcome.results[i * 2 + 1].bus_utilization;
     let mgrid_idx = Spec95::ALL
@@ -144,7 +146,7 @@ fn experiment_json_documents_roundtrip() {
     // must parse back to the same value, with the metrics intact.
     let jobs = cross(&[Spec95::Ijpeg], &[MemoryKind::Svc { kb_per_cache: 8 }]);
     let budget = 10_000;
-    let outcome = run_paper_grid(&jobs, budget);
+    let outcome = run_paper_grid(&jobs, budget, &RunOptions::default());
     let runs: Vec<Json> = outcome
         .results
         .iter()

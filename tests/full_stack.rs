@@ -74,9 +74,10 @@ fn all_memory_systems_commit_identical_state_on_synthetic_workload() {
 fn spec95_models_run_on_both_memory_systems() {
     // A quick run of each benchmark model on both systems: no panics, all
     // metrics in range. (The full-budget runs are the `paper` binary's.)
-    use svc_repro::bench::{run_spec95_with, MemoryKind};
+    use svc_repro::bench::{run_spec95_with, MemoryKind, RunOptions};
+    let opts = RunOptions::default();
     for b in Spec95::ALL {
-        let svc = run_spec95_with(b, MemoryKind::Svc { kb_per_cache: 8 }, 8_000, 3);
+        let svc = run_spec95_with(b, MemoryKind::Svc { kb_per_cache: 8 }, 8_000, 3, &opts);
         let arb = run_spec95_with(
             b,
             MemoryKind::Arb {
@@ -85,6 +86,7 @@ fn spec95_models_run_on_both_memory_systems() {
             },
             8_000,
             3,
+            &opts,
         );
         for r in [&svc, &arb] {
             assert!(r.ipc > 0.1 && r.ipc < 8.0, "{b}: ipc {}", r.ipc);
