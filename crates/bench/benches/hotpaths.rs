@@ -1,16 +1,25 @@
 //! Micro-benchmarks for the simulator's per-transaction hot paths — the
 //! allocation-free layers the throughput work targets: pure VCL
 //! planning (`plan_read`/`plan_write`), VOL reconstruction from snooped
-//! snapshots, cache-array lookup and victim selection, and snooping-bus
-//! arbitration. Each runs thousands of times per simulated kilocycle,
-//! so these are the numbers that move `sim_cycles_per_sec`.
+//! snapshots, cache-array lookup and victim selection, snooping-bus
+//! arbitration, an SVC commit, an ARB access that reclaims a row, and
+//! the ARB row index's hasher. Each runs thousands of times per
+//! simulated kilocycle, so these are the numbers that move
+//! `sim_cycles_per_sec`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, RandomState};
+
+use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 use std::hint::black_box;
 
-use svc::{order_vol, LineSnapshot, SubMask, Vcl};
+use svc::{order_vol, LineSnapshot, SubMask, SvcConfig, SvcSystem, Vcl};
+use svc_arb::{ArbConfig, ArbSystem};
 use svc_mem::{Bus, CacheArray, CacheGeometry, Slot};
-use svc_types::{Cycle, LineId, PuId, TaskId};
+use svc_multiscalar::{Instr, TaskSource};
+use svc_types::{Addr, Cycle, KeyHasher, LineId, PuId, TaskId, VersionedMemory, Word};
+use svc_workloads::Spec95;
 
 /// A realistic snooped line: two committed copies (one the head of the
 /// committed chain) and two uncommitted versions in task order, linked
@@ -185,5 +194,138 @@ fn bus(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, vcl, vol, cache_array, bus);
+/// Times `op` on a fresh clone of `system` per call. Clones are made and
+/// dropped outside the timed region.
+fn on_clone<T: Clone, O>(b: &mut Bencher, system: &T, mut op: impl FnMut(&mut T) -> O) {
+    let spent = RefCell::new(None);
+    b.iter_batched(
+        || {
+            spent.borrow_mut().take();
+            system.clone()
+        },
+        |mut s| {
+            let out = op(&mut s);
+            *spent.borrow_mut() = Some(s);
+            out
+        },
+        BatchSize::LargeInput,
+    );
+}
+
+/// Lines a gcc task touches: 18 instructions on average, 40% of them
+/// memory accesses.
+const GCC_FOOTPRINT: u64 = 7;
+
+/// A 4-PU final-design SVC at the paper's 8 KB point, just before PU 0
+/// commits: an earlier task filled all 512 lines of its cache and
+/// committed, and the current one has loaded five of them and stored to
+/// two.
+fn svc_before_commit() -> SvcSystem {
+    let mut sys = SvcSystem::new(SvcConfig::final_design(4));
+    let g = sys.config().geometry;
+    let (lines, wpl) = (g.lines() as u64, g.words_per_line() as u64);
+    sys.assign(PuId(0), TaskId(0));
+    for line in 0..lines {
+        sys.load(PuId(0), Addr(line * wpl), Cycle(line))
+            .expect("a free way");
+    }
+    sys.commit(PuId(0), Cycle(lines));
+    sys.assign(PuId(0), TaskId(1));
+    for k in 0..GCC_FOOTPRINT {
+        let addr = Addr(k * 61 % lines * wpl);
+        let now = Cycle(lines + 1 + k);
+        if k < 5 {
+            sys.load(PuId(0), addr, now).expect("a local reuse");
+        } else {
+            sys.store(PuId(0), addr, Word(k), now)
+                .expect("a silent store");
+        }
+    }
+    assert_eq!(sys.profile_gauges(Cycle(0)).live_versions, GCC_FOOTPRINT);
+    sys
+}
+
+fn svc(c: &mut Criterion) {
+    let mut g = c.benchmark_group("svc");
+    let sys = svc_before_commit();
+    g.bench_function("commit_8kb", |b| {
+        on_clone(b, &sys, |s| s.commit(PuId(0), Cycle(1 << 20)))
+    });
+    g.finish();
+}
+
+/// The paper's 4-PU ARB with all 256 rows in use and none speculative:
+/// PU 0's task loaded 256 addresses and committed, and PU 1 runs the
+/// next task.
+fn arb_rows_full() -> ArbSystem {
+    let mut arb = ArbSystem::new(ArbConfig::paper(4, 1, 32));
+    arb.assign(PuId(0), TaskId(0));
+    for a in 0..256 {
+        arb.load(PuId(0), Addr(a), Cycle(a)).expect("a free row");
+    }
+    arb.commit(PuId(0), Cycle(256));
+    arb.assign(PuId(1), TaskId(1));
+    arb
+}
+
+fn arb(c: &mut Criterion) {
+    let mut g = c.benchmark_group("arb");
+    let arb = arb_rows_full();
+    let mut addr = 1 << 20;
+    g.bench_function("load_reclaim_full", |b| {
+        on_clone(b, &arb, |a| {
+            addr += 1;
+            a.load(PuId(1), Addr(addr), Cycle(300))
+        })
+    });
+    g.finish();
+}
+
+/// The word addresses of gcc's first tasks, in program order.
+fn gcc_addresses() -> Vec<Addr> {
+    let gcc = Spec95::Gcc.workload(42);
+    (0..2_000)
+        .flat_map(|t| gcc.task(TaskId(t)).expect("gcc has 2,000 tasks"))
+        .filter_map(|i| match i {
+            Instr::Load(a) | Instr::Store(a, _) => Some(a),
+            Instr::Compute(_) => None,
+        })
+        .collect()
+}
+
+/// The ARB row index's work over an address trace: at most 256
+/// resident addresses, replaced first in first out; a lookup per
+/// access, and an insert and a removal per miss. Returns the hits.
+fn index_trace<S: BuildHasher + Default>(trace: &[Addr]) -> usize {
+    let mut index: HashMap<Addr, usize, S> = HashMap::with_capacity_and_hasher(256, S::default());
+    let mut resident = [None; 256];
+    let (mut hits, mut misses) = (0, 0);
+    for &a in trace {
+        if index.contains_key(&a) {
+            hits += 1;
+            continue;
+        }
+        let row = misses % 256;
+        misses += 1;
+        if let Some(old) = resident[row].replace(a) {
+            index.remove(&old);
+        }
+        index.insert(a, row);
+    }
+    hits
+}
+
+fn index(c: &mut Criterion) {
+    let mut g = c.benchmark_group("index");
+    let trace = gcc_addresses();
+    g.bench_function("siphash_gcc_trace", |b| {
+        b.iter(|| index_trace::<RandomState>(black_box(&trace)))
+    });
+    g.bench_function("keyhasher_gcc_trace", |b| {
+        b.iter(|| index_trace::<BuildHasherDefault<KeyHasher>>(black_box(&trace)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, vcl, vol, cache_array, bus, svc, arb, index);
 criterion_main!(benches);

@@ -89,6 +89,12 @@ impl SvcLine {
         self.line.is_some() && !self.valid.is_empty()
     }
 
+    /// Whether the line is *active*: valid with the C bit clear, so it
+    /// belongs to the task on this PU (Active Clean or Active Dirty).
+    pub fn is_active(&self) -> bool {
+        self.is_valid() && !self.committed
+    }
+
     /// This line's state bits as a trace-friendly value (old→new pairs of
     /// these appear in `line`-category trace events).
     pub fn bits(&self) -> svc_sim::trace::LineBits {

@@ -7,49 +7,26 @@
 //! It is a lookup derived from the caches, not a modelled directory:
 //!
 //! - line → the PUs holding a valid copy of it;
-//! - cache set → the PUs with a free way in that set (snarf candidates).
+//! - cache set → the PUs with a free way in that set (snarf candidates);
+//! - PU → the slots of its cache holding an active line (valid, C bit
+//!   clear): the speculative footprint that a commit flash-commits and a
+//!   squash clears, each a single step in the modelled hardware (§3.4,
+//!   §3.5).
 //!
-//! Both are functions of the caches, so neither is checkpointed nor part
-//! of the model checker's fingerprint; a restored system rebuilds them
-//! ([`Presence::rebuild`]) and the watchdog cross-checks them
-//! ([`Presence::mismatches`]). PU sets are bitsets of 64-PU words, so any
-//! PU count works.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! All three are functions of the caches, so none is checkpointed nor
+//! part of the model checker's fingerprint; a restored system rebuilds
+//! them ([`Presence::rebuild`]) and the watchdog cross-checks them
+//! ([`Presence::mismatches`]). PU sets are bitsets of 64-PU words and
+//! footprints bitsets of 64-slot words over the flat `set × ways` slot
+//! index, so any PU count and cache size work.
 
 use smallvec::SmallVec;
 use svc_mem::{CacheArray, Slot};
-use svc_types::{LineId, PuId};
+use svc_types::{KeyMap, LineId, PuId};
 
 use crate::line::SvcLine;
 
-/// A multiply–rotate hasher (FxHash's step) for the index's small integer
-/// keys: cheap, and deterministic across runs and hosts.
-#[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-}
-
-/// The PUs of one 64-PU word, in increasing order.
+/// The set bits of one 64-bit word, offset by `base`, in increasing order.
 #[derive(Debug, Clone, Copy)]
 struct Bits {
     word: u64,
@@ -57,23 +34,23 @@ struct Bits {
 }
 
 impl Iterator for Bits {
-    type Item = PuId;
-    fn next(&mut self) -> Option<PuId> {
+    type Item = usize;
+    fn next(&mut self) -> Option<usize> {
         if self.word == 0 {
             return None;
         }
         let i = self.word.trailing_zeros() as usize;
         self.word &= self.word - 1;
-        Some(PuId(self.base + i))
+        Some(self.base + i)
     }
 }
 
 /// Line → the PUs of one 64-PU word that hold a valid copy. Only
 /// non-zero words are stored, so an empty map allocates nothing.
-type HolderMap = HashMap<LineId, u64, BuildHasherDefault<KeyHasher>>;
+type HolderMap = KeyMap<LineId, u64>;
 
-/// The presence index of one SVC: which PUs hold each line, and which
-/// have a free way in each set.
+/// The presence index of one SVC: which PUs hold each line, which have a
+/// free way in each set, and which slots of each cache are active.
 #[derive(Debug, Clone)]
 pub(crate) struct Presence {
     /// 64-PU words per PU set.
@@ -86,23 +63,31 @@ pub(crate) struct Presence {
     /// (inline for the model checker's few-set caches, which it clones on
     /// every transition).
     free: SmallVec<u64, 4>,
+    /// 64-slot words per cache.
+    slot_words: usize,
+    /// `pu × slot_words` → the slots of `pu`'s cache holding an active
+    /// line (inline for the model checker's two 4-slot caches).
+    active: SmallVec<u64, 4>,
 }
 
 impl Presence {
-    /// The index of `num_pus` empty caches of `sets` sets: nothing held,
-    /// every set free everywhere.
-    pub(crate) fn new(num_pus: usize, sets: usize) -> Presence {
+    /// The index of `num_pus` empty caches of `sets` sets of `ways` ways:
+    /// nothing held, every set free everywhere, no active line.
+    pub(crate) fn new(num_pus: usize, sets: usize, ways: usize) -> Presence {
         let words = num_pus.div_ceil(64);
         // Word `w` of the set of all PUs.
         let all = |w: usize| match num_pus - 64 * w {
             n if n >= 64 => u64::MAX,
             n => (1 << n) - 1,
         };
+        let slot_words = (sets * ways).div_ceil(64);
         Presence {
             words,
             holders: HolderMap::default(),
             wide_holders: (1..words).map(|_| HolderMap::default()).collect(),
             free: (0..sets * words).map(|i| all(i % words)).collect(),
+            slot_words,
+            active: (0..num_pus * slot_words).map(|_| 0).collect(),
         }
     }
 
@@ -132,9 +117,12 @@ impl Presence {
 
     /// The PUs holding a valid copy of `line`, in increasing PU order.
     pub(crate) fn holders(&self, line: LineId) -> impl Iterator<Item = PuId> + '_ {
-        (0..self.words).flat_map(move |w| Bits {
-            word: self.held(line, w),
-            base: 64 * w,
+        (0..self.words).flat_map(move |w| {
+            Bits {
+                word: self.held(line, w),
+                base: 64 * w,
+            }
+            .map(PuId)
         })
     }
 
@@ -145,10 +133,49 @@ impl Presence {
         set: usize,
         line: LineId,
     ) -> impl Iterator<Item = PuId> + '_ {
-        (0..self.words).flat_map(move |w| Bits {
-            word: self.free[set * self.words + w] & !self.held(line, w),
+        (0..self.words).flat_map(move |w| {
+            Bits {
+                word: self.free[set * self.words + w] & !self.held(line, w),
+                base: 64 * w,
+            }
+            .map(PuId)
+        })
+    }
+
+    /// 64-slot words per cache in a footprint.
+    pub(crate) fn slot_words(&self) -> usize {
+        self.slot_words
+    }
+
+    /// Word `w` of `pu`'s footprint: bit `i` is slot `64 w + i`.
+    pub(crate) fn active_word(&self, pu: PuId, w: usize) -> u64 {
+        self.active[pu.index() * self.slot_words + w]
+    }
+
+    /// `pu`'s active slots (flat `set × ways` indices), in slot order.
+    pub(crate) fn active_slots(&self, pu: PuId) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slot_words).flat_map(move |w| Bits {
+            word: self.active_word(pu, w),
             base: 64 * w,
         })
+    }
+
+    /// Number of active lines in `pu`'s cache.
+    pub(crate) fn active_count(&self, pu: PuId) -> usize {
+        let words = &self.active[pu.index() * self.slot_words..][..self.slot_words];
+        words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Records whether `pu`'s slot `slot` (flat `set × ways` index) holds
+    /// an active line.
+    pub(crate) fn set_active(&mut self, pu: PuId, slot: usize, active: bool) {
+        let word = &mut self.active[pu.index() * self.slot_words + slot / 64];
+        let bit = 1 << (slot % 64);
+        if active {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
     }
 
     /// Records that `pu`'s slot in `set` went from holding `before` to
@@ -189,15 +216,18 @@ impl Presence {
         self.holders.clear();
         self.wide_holders.iter_mut().for_each(HolderMap::clear);
         self.free.iter_mut().for_each(|f| *f = 0);
+        self.active.iter_mut().for_each(|a| *a = 0);
         for (i, cache) in caches.iter().enumerate() {
-            let (w, bit) = Presence::word_of(PuId(i));
-            let g = cache.geometry();
-            for set in 0..g.sets() {
-                for way in 0..g.ways() {
-                    match cache.slot((set, way)).held_line() {
-                        Some(line) => *self.map_mut(w).entry(line).or_insert(0) |= bit,
-                        None => self.free[set * self.words + w] |= bit,
-                    }
+            let pu = PuId(i);
+            let (w, bit) = Presence::word_of(pu);
+            let ways = cache.geometry().ways();
+            for (slot, l) in cache.iter().enumerate() {
+                match l.held_line() {
+                    Some(line) => *self.map_mut(w).entry(line).or_insert(0) |= bit,
+                    None => self.free[slot / ways * self.words + w] |= bit,
+                }
+                if l.is_active() {
+                    self.set_active(pu, slot, true);
                 }
             }
         }
@@ -219,7 +249,20 @@ impl Presence {
             for set in 0..g.sets() {
                 let mut set_free = false;
                 for way in 0..g.ways() {
-                    let Some(line) = cache.slot((set, way)).held_line() else {
+                    let l = cache.slot((set, way));
+                    let slot = set * g.ways() + way;
+                    let indexed = self.active_word(pu, slot / 64) & (1 << (slot % 64)) != 0;
+                    if indexed != l.is_active() {
+                        out.push((
+                            Some(pu),
+                            l.line,
+                            format!(
+                                "slot {slot}: footprint says active={indexed}, cache says {}",
+                                !indexed
+                            ),
+                        ));
+                    }
+                    let Some(line) = l.held_line() else {
                         set_free = true;
                         continue;
                     };
@@ -264,13 +307,23 @@ mod tests {
     };
 
     use super::*;
-    use crate::{SvcConfig, SvcSystem};
+    use crate::{LineState, SvcConfig, SvcSystem};
 
     /// Asserts the index agrees with the caches: no invariant mismatch,
-    /// and every line's indexed snapshots equal a probe of every cache.
-    /// Returns the highest PU holding anything.
+    /// every line's indexed snapshots equal a probe of every cache, and
+    /// every PU's footprint equals a scan of its slots. Returns the
+    /// highest PU holding anything.
     fn assert_exact(sys: &SvcSystem, lines: u64, after: &str) -> Option<usize> {
         assert_eq!(sys.presence_mismatches(), Vec::new(), "after {after}");
+        for pu in (0..sys.config().num_pus).map(PuId) {
+            let scanned: Vec<usize> = (sys.line_states_of(pu).into_iter().enumerate())
+                .filter(|(_, s)| matches!(s, LineState::ActiveClean | LineState::ActiveDirty))
+                .map(|(slot, _)| slot)
+                .collect();
+            let indexed: Vec<usize> = sys.presence().active_slots(pu).collect();
+            assert_eq!(indexed, scanned, "{pu}'s footprint after {after}");
+            assert_eq!(sys.speculative_line_count(pu), scanned.len());
+        }
         let mut top = None;
         for line in (0..lines).map(LineId) {
             let brute: Vec<_> = (sys.snapshots_of(line).into_iter())
@@ -380,9 +433,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The index stays exact through random histories at 4, 65 and
-        /// 130 PUs (so PU sets span one, two and three 64-PU words), on
-        /// designs that commit lazily (final) and by flushing (base).
+        /// The index, footprints included, stays exact through random
+        /// histories at 4, 65 and 130 PUs (so PU sets span one, two and
+        /// three 64-PU words), on designs that commit lazily (final) and
+        /// by flushing (base).
         #[test]
         fn index_is_exact_through_random_histories(seed in any::<u64>(), steps in 100usize..240) {
             for pus in [4, 65, 130] {
@@ -400,7 +454,7 @@ mod tests {
     #[test]
     fn new_index_marks_every_set_free_for_exactly_the_pus() {
         for pus in [1, 4, 63, 64, 65, 130] {
-            let p = Presence::new(pus, 3);
+            let p = Presence::new(pus, 3, 2);
             for set in 0..3 {
                 let free: Vec<PuId> = p.free_non_holders(set, LineId(7)).collect();
                 assert_eq!(free, (0..pus).map(PuId).collect::<Vec<_>>(), "{pus} PUs");
@@ -411,7 +465,7 @@ mod tests {
 
     #[test]
     fn moves_across_word_boundaries_keep_pu_order() {
-        let mut p = Presence::new(130, 2);
+        let mut p = Presence::new(130, 2, 2);
         for pu in [129, 3, 64, 63, 0] {
             p.moved(PuId(pu), 1, None, Some(LineId(5)), true);
         }

@@ -5,9 +5,11 @@
 //! timed as such. On the host, a derived presence index
 //! ([`Presence`]) lists which caches hold a line and which have a free
 //! way in its set, so gathering a snoop's snapshots costs time in the
-//! line's holders, not in the PU count. The index is a host lookup, not
-//! a modelled directory: it is never checkpointed or fingerprinted, and
-//! the watchdog checks it against the caches.
+//! line's holders, not in the PU count. It also keeps each PU's active
+//! slots, so a commit or squash costs time in the task's lines, not in
+//! the cache size. The index is a host lookup, not a modelled
+//! directory: it is never checkpointed or fingerprinted, and the
+//! watchdog checks it against the caches.
 
 use smallvec::SmallVec;
 use svc_mem::{Backing, Bus, CacheArray, MshrFile, Slot, WayRef, WritebackBuffer};
@@ -68,8 +70,9 @@ pub struct SvcSystem {
     config: SvcConfig,
     vcl: Vcl,
     caches: Vec<CacheArray<SvcLine>>,
-    /// Derived from `caches`; every change of a slot's held line goes
-    /// through [`SvcSystem::update_slot`], which keeps it exact.
+    /// Derived from `caches`; every change of a slot's held line or of
+    /// whether it is active goes through [`SvcSystem::update_slot`],
+    /// which keeps it exact.
     presence: Presence,
     bus: Bus,
     backing: Backing,
@@ -103,7 +106,11 @@ impl SvcSystem {
             caches: (0..config.num_pus)
                 .map(|_| CacheArray::new(config.geometry))
                 .collect(),
-            presence: Presence::new(config.num_pus, config.geometry.sets()),
+            presence: Presence::new(
+                config.num_pus,
+                config.geometry.sets(),
+                config.geometry.ways(),
+            ),
             bus: Bus::pipelined(t.bus_txn_cycles, (t.bus_txn_cycles - 1).max(1)),
             backing: match config.l2 {
                 Some(l2) => Backing::with_l2(l2),
@@ -358,28 +365,38 @@ impl SvcSystem {
         }
     }
 
-    /// Runs `f` on `pu`'s slot `r`. Every change of a slot's held line
-    /// goes through here, which keeps the presence index exact.
+    /// Runs `f` on `pu`'s slot `r`. Every change of a slot's held line,
+    /// or of whether it is active, goes through here, which keeps the
+    /// presence index exact.
     fn update_slot<R>(&mut self, pu: PuId, r: WayRef, f: impl FnOnce(&mut SvcLine) -> R) -> R {
         let cache = &mut self.caches[pu.index()];
         let slot = cache.slot_mut(r);
-        let before = slot.held_line();
+        let (before, was_active) = (slot.held_line(), slot.is_active());
         let out = f(slot);
-        let after = slot.held_line();
+        let (after, active) = (slot.held_line(), slot.is_active());
         if before != after {
             let free = cache.set_has_free_way(r.0);
             self.presence.moved(pu, r.0, before, after, free);
         }
+        if was_active != active {
+            let ways = self.config.geometry.ways();
+            self.presence.set_active(pu, r.0 * ways + r.1, active);
+        }
         out
     }
 
-    /// Runs `f` on every slot of `pu`'s cache, through
-    /// [`update_slot`](Self::update_slot).
-    fn update_all_slots(&mut self, pu: PuId, mut f: impl FnMut(&mut SvcLine)) {
-        let g = self.config.geometry;
-        for set in 0..g.sets() {
-            for way in 0..g.ways() {
-                self.update_slot(pu, (set, way), &mut f);
+    /// Runs `f` on each active slot of `pu`'s cache in slot order,
+    /// through [`update_slot`](Self::update_slot).
+    fn update_active_slots(&mut self, pu: PuId, mut f: impl FnMut(&mut SvcLine)) {
+        let ways = self.config.geometry.ways();
+        for w in 0..self.presence.slot_words() {
+            // `update_slot` changes only its own slot's bit, so the word
+            // read here still lists the rest of its slots.
+            let mut bits = self.presence.active_word(pu, w);
+            while bits != 0 {
+                let slot = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.update_slot(pu, (slot / ways, slot % ways), &mut f);
             }
         }
     }
@@ -875,10 +892,13 @@ impl SvcSystem {
     /// Number of uncommitted valid lines in `pu`'s cache (the gauge the
     /// profiler samples every period — counted, not collected).
     pub(crate) fn speculative_line_count(&self, pu: PuId) -> usize {
-        self.caches[pu.index()]
-            .iter()
-            .filter(|l| l.is_valid() && !l.committed)
-            .count()
+        self.presence.active_count(pu)
+    }
+
+    /// The presence index (for its tests).
+    #[cfg(test)]
+    pub(crate) fn presence(&self) -> &Presence {
+        &self.presence
     }
 
     /// Deliberately corrupts the state bits of `pu`'s copy of the line
@@ -894,16 +914,16 @@ impl SvcSystem {
         let Some(r) = self.caches[pu.index()].find(line) else {
             return false;
         };
-        let l = self.caches[pu.index()].slot_mut(r);
-        if !l.is_valid() {
-            return false;
-        }
-        if !l.valid.contains(j) {
-            l.store.set(j);
-        } else {
-            l.committed = true;
-            l.load.set(j);
-        }
+        // The presence index stays exact: the drill corrupts the protocol
+        // state, not the host's view of it.
+        self.update_slot(pu, r, |l| {
+            if !l.valid.contains(j) {
+                l.store.set(j);
+            } else {
+                l.committed = true;
+                l.load.set(j);
+            }
+        });
         true
     }
 
@@ -1000,10 +1020,11 @@ impl VersionedMemory for SvcSystem {
                 // resetting C and remembering it is architectural.
                 let value = l.data[off];
                 let from = l.bits();
-                let l = self.caches[pu.index()].slot_mut(r);
-                l.committed = false;
-                l.arch = true;
-                l.load = SubMask::single(j);
+                self.update_slot(pu, r, |l| {
+                    l.committed = false;
+                    l.arch = true;
+                    l.load = SubMask::single(j);
+                });
                 self.caches[pu.index()].touch(r);
                 self.stats.local_hits += 1;
                 let done_at = now + self.config.timing.hit_cycles;
@@ -1202,19 +1223,20 @@ impl VersionedMemory for SvcSystem {
                     self.flush_to_memory(pu, line, flush_mask, now);
                 }
                 let wide = self.config.geometry.words_per_subblock() > 1;
-                let l = self.caches[pu.index()].slot_mut(r);
-                if committed {
-                    l.committed = false;
-                    l.load = SubMask::EMPTY;
-                    l.store = SubMask::EMPTY;
-                }
-                l.data[off] = value;
-                l.valid.set(j);
-                l.store.set(j);
-                if wide {
-                    l.load.set(j); // partial-coverage dependence (§5.6)
-                }
-                l.arch = false;
+                self.update_slot(pu, r, |l| {
+                    if committed {
+                        l.committed = false;
+                        l.load = SubMask::EMPTY;
+                        l.store = SubMask::EMPTY;
+                    }
+                    l.data[off] = value;
+                    l.valid.set(j);
+                    l.store.set(j);
+                    if wide {
+                        l.load.set(j); // partial-coverage dependence (§5.6)
+                    }
+                    l.arch = false;
+                });
                 self.caches[pu.index()].touch(r);
                 self.stats.local_hits += 1;
                 let done_at = now + self.config.timing.hit_cycles;
@@ -1317,34 +1339,37 @@ impl VersionedMemory for SvcSystem {
         let tracer = self.tracer.clone();
         let done = if self.config.lazy_commit {
             // EC (§3.4): flash-set the C bit; writebacks happen lazily.
-            for l in self.caches[pu.index()].iter_mut() {
-                if l.is_valid() {
-                    let from = l.bits();
-                    l.committed = true;
-                    if !Mutation::CommitKeepsLoadBits.enabled() {
-                        l.load = SubMask::EMPTY;
-                    }
-                    if trace_lines {
-                        let to = l.bits();
-                        if from != to {
-                            let line = l.line.expect("valid line has a tag");
-                            tracer.emit(now, Category::Line, || TraceEvent::LineTransition {
-                                pu,
-                                line,
-                                from,
-                                to,
-                            });
-                        }
-                    }
+            // Committed lines already have it, so only active ones change.
+            self.update_active_slots(pu, |l| {
+                let from = l.bits();
+                l.committed = true;
+                if !Mutation::CommitKeepsLoadBits.enabled() {
+                    l.load = SubMask::EMPTY;
                 }
-            }
+                if trace_lines {
+                    let to = l.bits();
+                    let line = l.line.expect("valid line has a tag");
+                    tracer.emit(now, Category::Line, || TraceEvent::LineTransition {
+                        pu,
+                        line,
+                        from,
+                        to,
+                    });
+                }
+            });
             now + 1
         } else {
             // Base (§3.2.4): write back every dirty line immediately and
             // invalidate the cache — the commit-serialization bottleneck.
-            let lines: Vec<LineId> = self.caches[pu.index()]
-                .iter()
-                .filter(|l| l.is_valid() && !l.store.is_empty())
+            // Without lazy commits no line is ever committed, so the
+            // active lines are all the valid ones.
+            let cache = &self.caches[pu.index()];
+            let ways = self.config.geometry.ways();
+            let lines: Vec<LineId> = self
+                .presence
+                .active_slots(pu)
+                .map(|slot| cache.slot((slot / ways, slot % ways)))
+                .filter(|l| !l.store.is_empty())
                 .map(|l| l.line.expect("valid line has a tag"))
                 .collect();
             let mut done = now + 1;
@@ -1359,8 +1384,8 @@ impl VersionedMemory for SvcSystem {
                 self.flush_to_memory(pu, line, mask, done);
                 done = grant.done;
             }
-            self.update_all_slots(pu, |l| {
-                if trace_lines && l.is_valid() {
+            self.update_active_slots(pu, |l| {
+                if trace_lines {
                     let from = l.bits();
                     let line = l.line.expect("valid line has a tag");
                     l.invalidate();
@@ -1386,19 +1411,13 @@ impl VersionedMemory for SvcSystem {
     }
 
     fn squash_at(&mut self, pu: PuId, now: Cycle) {
-        let lazy = self.config.lazy_commit;
         let arch_bit = self.config.arch_bit;
         let trace_lines = self.tracer.enabled(Category::Line);
         let tracer = self.tracer.clone();
         let mut invalidated = 0;
         let mut retained = 0;
-        self.update_all_slots(pu, |l| {
-            if !l.is_valid() {
-                return;
-            }
-            if lazy && l.committed {
-                return; // committed state survives squashes
-            }
+        // Committed state survives squashes; only active lines change.
+        self.update_active_slots(pu, |l| {
             let before = trace_lines.then(|| (l.bits(), l.line.expect("valid line has a tag")));
             if arch_bit && l.arch && l.store.is_empty() {
                 // §3.5.1: architectural copies survive; they become

@@ -35,8 +35,9 @@
 //!   [`check_post_squash`]): immediately after a squash, no uncommitted
 //!   valid line survives in the squashed PU's cache.
 //! - **Presence index** ([`InvariantKind::PresenceIndex`]): the host-side
-//!   index of which caches hold each line and which have a free way in
-//!   each set equals a recomputation over the caches.
+//!   index of which caches hold each line, which have a free way in each
+//!   set and which slots hold active lines equals a recomputation over
+//!   the caches.
 
 use smallvec::SmallVec;
 use svc_types::{Cycle, InvariantKind, InvariantViolation, LineId, PuId};

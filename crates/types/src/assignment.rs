@@ -4,17 +4,23 @@ use crate::{PuId, TaskId};
 
 /// Occupied PUs in task order; inline for up to 8 PUs (every paper
 /// configuration).
-pub type PuOrder = SmallVec<PuId, 8>;
+type PuOrder = SmallVec<PuId, 8>;
 
 /// The task-assignment table: which task each processing unit is currently
 /// executing, if any.
 ///
 /// The sequence of tasks assigned to the PUs "enforces an implicit total
-/// order among the PUs" (paper §2.1, Figure 1). The Version Control Logic
-/// consults this order on every bus request to position the requestor in the
-/// Version Ordering List, and the ARB uses it to map PUs to stages. Both
-/// memory systems receive assignment updates through
+/// order among the PUs" (paper §2.1, Figure 1). The SVC asks for the head
+/// on every miss, and the ARB walks the order on every access to map PUs
+/// to stages. Both memory systems receive assignment updates through
 /// [`crate::VersionedMemory::assign`].
+///
+/// The order is cached: [`assign`](Self::assign) and
+/// [`release`](Self::release) move the one PU they change and a
+/// checkpoint restore rebuilds it, so
+/// [`program_order`](Self::program_order), [`head`](Self::head) and
+/// [`tail`](Self::tail) cost nothing per call. It is derived from the
+/// assignments and never checkpointed.
 ///
 /// # Example
 ///
@@ -33,6 +39,8 @@ pub type PuOrder = SmallVec<PuId, 8>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskAssignments {
     task_of: Vec<Option<TaskId>>,
+    /// The occupied PUs, oldest task first.
+    order: PuOrder,
 }
 
 impl TaskAssignments {
@@ -45,6 +53,7 @@ impl TaskAssignments {
         assert!(num_pus > 0, "need at least one PU");
         TaskAssignments {
             task_of: vec![None; num_pus],
+            order: PuOrder::new(),
         }
     }
 
@@ -68,6 +77,7 @@ impl TaskAssignments {
             );
         }
         self.task_of[pu.index()] = Some(task);
+        self.place(pu);
     }
 
     /// Clears the assignment of `pu` (its task committed or was squashed).
@@ -77,6 +87,23 @@ impl TaskAssignments {
     /// Panics if `pu` is out of range.
     pub fn release(&mut self, pu: PuId) {
         self.task_of[pu.index()] = None;
+        self.place(pu);
+    }
+
+    /// Moves `pu` to its place in the cached program order: out of it
+    /// if it runs no task, else just after every older task.
+    fn place(&mut self, pu: PuId) {
+        self.order.retain(|&q| q != pu);
+        let Some(task) = self.task_of[pu.index()] else {
+            return;
+        };
+        // Tasks are mostly dispatched youngest, so search from the tail.
+        let task_of = &self.task_of;
+        let at = (self.order.iter())
+            .rposition(|q| task_of[q.index()] < Some(task))
+            .map_or(0, |i| i + 1);
+        self.order.push(pu);
+        self.order.as_mut_slice()[at..].rotate_right(1);
     }
 
     /// The task currently executing on `pu`, if any.
@@ -96,20 +123,18 @@ impl TaskAssignments {
     /// The *head* PU: the one executing the oldest (non-speculative) task.
     /// `None` if no PU has an assignment.
     pub fn head(&self) -> Option<PuId> {
-        self.occupied().min_by_key(|&(_, t)| t).map(|(pu, _)| pu)
+        self.order.first().copied()
     }
 
     /// The PU executing the youngest (most speculative) task, if any.
     pub fn tail(&self) -> Option<PuId> {
-        self.occupied().max_by_key(|&(_, t)| t).map(|(pu, _)| pu)
+        self.order.last().copied()
     }
 
     /// All occupied PUs ordered oldest task first — the implicit total order
     /// of paper §2.1 (the solid arrowheads in the paper's figures).
-    pub fn program_order(&self) -> PuOrder {
-        let mut v: SmallVec<(PuId, TaskId), 8> = self.occupied().collect();
-        v.sort_unstable_by_key(|&(_, t)| t);
-        v.into_iter().map(|(pu, _)| pu).collect()
+    pub fn program_order(&self) -> &[PuId] {
+        &self.order
     }
 
     /// Whether `a`'s task is older than `b`'s task. Unassigned PUs follow all
@@ -122,45 +147,6 @@ impl TaskAssignments {
             (None, Some(_)) => false,
             (None, None) => a.index() < b.index(),
         }
-    }
-
-    /// Occupied PUs strictly younger than `pu`'s task, oldest first. Used by
-    /// the VCL to walk "the requestor's immediate successor (in task
-    /// assignment order)" onward when a store invalidates later copies
-    /// (paper §3.2.3).
-    pub fn successors_of(&self, pu: PuId) -> PuOrder {
-        let Some(me) = self.task_of(pu) else {
-            return SmallVec::new();
-        };
-        let mut v: SmallVec<(PuId, TaskId), 8> = self
-            .occupied()
-            .filter(|&(_, t)| me.is_older_than(t))
-            .collect();
-        v.sort_unstable_by_key(|&(_, t)| t);
-        v.into_iter().map(|(pu, _)| pu).collect()
-    }
-
-    /// Occupied PUs strictly older than `pu`'s task, youngest first (the
-    /// reverse-order search direction used when locating the version to
-    /// supply a load, paper §3.2.2).
-    pub fn predecessors_of(&self, pu: PuId) -> PuOrder {
-        let Some(me) = self.task_of(pu) else {
-            return SmallVec::new();
-        };
-        let mut v: SmallVec<(PuId, TaskId), 8> = self
-            .occupied()
-            .filter(|&(_, t)| t.is_older_than(me))
-            .collect();
-        v.sort_unstable_by_key(|&(_, t)| core::cmp::Reverse(t));
-        v.into_iter().map(|(pu, _)| pu).collect()
-    }
-
-    /// Iterator over `(pu, task)` pairs for occupied PUs, in PU-index order.
-    fn occupied(&self) -> impl Iterator<Item = (PuId, TaskId)> + '_ {
-        self.task_of
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.map(|t| (PuId(i), t)))
     }
 }
 
@@ -177,6 +163,10 @@ impl crate::Checkpointable for TaskAssignments {
                 before,
                 self.task_of.len()
             )));
+        }
+        self.order.clear();
+        for i in 0..self.task_of.len() {
+            self.place(PuId(i));
         }
         Ok(())
     }
@@ -210,18 +200,6 @@ mod tests {
             table().program_order(),
             vec![PuId(3), PuId(1), PuId(2), PuId(0)]
         );
-    }
-
-    #[test]
-    fn successors_and_predecessors() {
-        let asg = table();
-        assert_eq!(asg.successors_of(PuId(1)), vec![PuId(2), PuId(0)]);
-        assert_eq!(asg.predecessors_of(PuId(1)), vec![PuId(3)]);
-        assert_eq!(
-            asg.predecessors_of(PuId(0)),
-            vec![PuId(2), PuId(1), PuId(3)]
-        );
-        assert_eq!(asg.successors_of(PuId(0)), Vec::<PuId>::new());
     }
 
     #[test]
@@ -270,7 +248,5 @@ mod tests {
         assert_eq!(asg.head(), None);
         assert_eq!(asg.tail(), None);
         assert!(asg.program_order().is_empty());
-        assert!(asg.successors_of(PuId(0)).is_empty());
-        assert!(asg.predecessors_of(PuId(0)).is_empty());
     }
 }

@@ -323,7 +323,9 @@ impl<T: Checkpointable + Default> Checkpointable for Vec<T> {
     fn restore_state(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         let n = r.take_usize()?;
         self.clear();
-        self.try_reserve(n.min(1 << 20))
+        // Reserve no more elements than bytes remain, so a forged length
+        // prefix costs at most the payload's size before reading fails.
+        self.try_reserve(n.min(r.remaining()))
             .map_err(|_| CkptError::corrupt("allocation failure"))?;
         for _ in 0..n {
             self.push(r.take::<T>()?);
@@ -358,11 +360,13 @@ impl<T: Checkpointable, const N: usize> Checkpointable for [T; N] {
 }
 
 /// Hash maps serialize in sorted key order so identical logical state
-/// always produces identical bytes, independent of insertion history.
-impl<K, V> Checkpointable for HashMap<K, V>
+/// always produces identical bytes, independent of insertion history and
+/// of the hasher.
+impl<K, V, S> Checkpointable for HashMap<K, V, S>
 where
     K: Checkpointable + Default + Ord + Eq + core::hash::Hash,
     V: Checkpointable + Default,
+    S: core::hash::BuildHasher,
 {
     fn save_state(&self, w: &mut CkptWriter) {
         let mut keys: Vec<&K> = self.keys().collect();
@@ -563,6 +567,21 @@ mod tests {
         let mut r = CkptReader::new(&bytes[..bytes.len() - 1]);
         let err = r.take::<Vec<u64>>().unwrap_err();
         assert_eq!(err, CkptError::Truncated);
+    }
+
+    #[test]
+    fn oversized_length_prefix_reserves_only_the_remaining_bytes() {
+        let mut w = CkptWriter::new();
+        w.put_u64(1 << 40);
+        for b in 0..20u8 {
+            w.put_u8(b);
+        }
+        let bytes = w.into_bytes();
+        let mut r = CkptReader::new(&bytes);
+        let mut v: Vec<u64> = Vec::new();
+        assert_eq!(v.restore_state(&mut r), Err(CkptError::Truncated));
+        assert_eq!(v.len(), 2, "the two whole elements were read");
+        assert!(v.capacity() <= 20, "reserved {} elements", v.capacity());
     }
 
     #[test]

@@ -22,12 +22,13 @@ pub enum InvariantKind {
     Ownership,
     /// Speculative state survived a squash that should have cleared it.
     SquashResidue,
-    /// An internal structure (index, free list, row table) is
-    /// inconsistent with itself.
+    /// An internal structure (an index, the row table, or state derived
+    /// from the rows) is inconsistent with itself.
     Structure,
     /// A host-side lookup derived from the caches (the SVC's presence
-    /// index: which caches hold a line, which have a free way in a set)
-    /// differs from a recomputation over the caches themselves.
+    /// index: which caches hold a line, which have a free way in a set,
+    /// which slots hold active lines) differs from a recomputation over
+    /// the caches themselves.
     PresenceIndex,
 }
 

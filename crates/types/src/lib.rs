@@ -37,6 +37,7 @@ mod assignment;
 mod checkable;
 pub mod ckpt;
 mod fingerprint;
+mod hash;
 mod ids;
 mod invariant;
 pub mod mutate;
@@ -46,10 +47,11 @@ mod versioned;
 mod word;
 
 pub use addr::{Addr, LineId};
-pub use assignment::{PuOrder, TaskAssignments};
+pub use assignment::TaskAssignments;
 pub use checkable::ModelCheckable;
 pub use ckpt::{Checkpointable, CkptError, CkptReader, CkptWriter};
 pub use fingerprint::StateHasher;
+pub use hash::{KeyHasher, KeyMap};
 pub use ids::{PuId, TaskId};
 pub use invariant::{InvariantKind, InvariantViolation};
 pub use mutate::Mutation;

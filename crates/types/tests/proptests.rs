@@ -1,7 +1,9 @@
 //! Property-based tests for the shared vocabulary types.
 
 use proptest::prelude::*;
-use svc_types::{Addr, Cycle, PuId, TaskAssignments, TaskId};
+use svc_types::{
+    Addr, Checkpointable, CkptReader, CkptWriter, Cycle, PuId, TaskAssignments, TaskId,
+};
 
 proptest! {
     /// Line/offset slicing round-trips for any address and line size.
@@ -37,8 +39,9 @@ proptest! {
 
 /// A random sequence of assignment operations.
 fn assignment_ops() -> impl Strategy<Value = Vec<(u8, u8, u16)>> {
-    // (op, pu, task): op 0 = assign, 1 = release
-    proptest::collection::vec((0u8..2, 0u8..6, 0u16..64), 0..40)
+    // (op, pu, task): op 0 = assign, 1 = release, 2 = checkpoint round
+    // trip into a fresh table
+    proptest::collection::vec((0u8..3, 0u8..6, 0u16..64), 0..40)
 }
 
 proptest! {
@@ -52,16 +55,28 @@ proptest! {
         for (op, pu, task) in ops {
             let pu = pu as usize;
             let task = task as u64;
-            if op == 0 {
-                // Skip assignments that would duplicate a live task.
-                let dup = model.iter().any(|(&p, &t)| t == task && p != pu);
-                if !dup {
-                    asg.assign(PuId(pu), TaskId(task));
-                    model.insert(pu, task);
+            match op {
+                0 => {
+                    // Skip assignments that would duplicate a live task.
+                    let dup = model.iter().any(|(&p, &t)| t == task && p != pu);
+                    if !dup {
+                        asg.assign(PuId(pu), TaskId(task));
+                        model.insert(pu, task);
+                    }
                 }
-            } else {
-                asg.release(PuId(pu));
-                model.remove(&pu);
+                1 => {
+                    asg.release(PuId(pu));
+                    model.remove(&pu);
+                }
+                _ => {
+                    let mut w = CkptWriter::new();
+                    asg.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut restored = TaskAssignments::new(6);
+                    restored.restore_state(&mut CkptReader::new(&bytes)).expect("round trip");
+                    prop_assert_eq!(&restored, &asg);
+                    asg = restored;
+                }
             }
         }
         let order = asg.program_order();
@@ -78,12 +93,6 @@ proptest! {
         for w in order.windows(2) {
             prop_assert!(asg.precedes(w[0], w[1]));
             prop_assert!(!asg.precedes(w[1], w[0]));
-        }
-        // successors/predecessors partition the other occupied PUs.
-        for &pu in &order {
-            let succ = asg.successors_of(pu);
-            let pred = asg.predecessors_of(pu);
-            prop_assert_eq!(succ.len() + pred.len() + 1, order.len());
         }
     }
 }
