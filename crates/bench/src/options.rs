@@ -3,7 +3,7 @@
 //! code reads no environment variable.
 //!
 //! [`RunOptions::parse`] resolves each knob through a `lookup(name)`
-//! closure. A binary's `main` hands it [`env`] with its flags layered in
+//! closure. A binary's `main` hands it [`env()`] with its flags layered in
 //! front: the experiment binaries' `--profile` answers `SVC_PROFILE`,
 //! `svc-sim`'s tracing flags answer `SVC_TRACE`, and `svc-sim resume`
 //! answers the [`ATTACHMENT_KNOBS`] from the checkpoint header. An unset

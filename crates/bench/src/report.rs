@@ -711,7 +711,7 @@ pub fn experiment_doc(name: &str, budget: u64, grid_seed: u64, runs: Vec<Json>) 
         .set("runs", Json::Arr(runs))
 }
 
-/// One [`JobFailure`] as `{index, seed, kind, detail, attempts}`.
+/// One [`JobFailure`](crate::harness::JobFailure) as `{index, seed, kind, detail, attempts}`.
 pub fn job_failure_json(f: &crate::harness::JobFailure) -> Json {
     Json::obj()
         .set("index", f.index.into())

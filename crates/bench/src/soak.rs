@@ -133,7 +133,7 @@ pub struct SoakState {
     pub storm_slices_clean: u64,
     /// Whether the most recent tick was stormy.
     pub storm_active: bool,
-    /// Slices completed per mix, in [`MIX_NAMES`] order.
+    /// Slices completed per mix, in `MIX_NAMES` order.
     pub slices_per_mix: [u64; MIX_NAMES.len()],
     /// Mix label of the most recent slice.
     pub last_mix: &'static str,

@@ -298,7 +298,7 @@ impl Presence {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
     use svc_mem::CacheGeometry;
     use svc_sim::rng::SplitMix64;
@@ -307,7 +307,7 @@ mod tests {
     };
 
     use super::*;
-    use crate::{LineState, SvcConfig, SvcSystem};
+    use crate::{LineSnapshot, LineState, SvcConfig, SvcSystem};
 
     /// Asserts the index agrees with the caches: no invariant mismatch,
     /// every line's indexed snapshots equal a probe of every cache, and
@@ -337,8 +337,16 @@ mod tests {
 
     /// A seeded random history on `cfg`: dispatches, loads, stores (with
     /// violation squashes), head commits, tail squashes, drains and
-    /// checkpoint round trips, checking the index after every step.
-    fn drive(cfg: SvcConfig, seed: u64, steps: usize) {
+    /// checkpoint round trips, checking the index after every step. After
+    /// each load or store that went to the bus, `on_bus` gets the system,
+    /// the requesting PU, the line and the line's holders before the
+    /// access.
+    pub(crate) fn drive(
+        cfg: SvcConfig,
+        seed: u64,
+        steps: usize,
+        mut on_bus: impl FnMut(&SvcSystem, PuId, LineId, &[LineSnapshot]),
+    ) {
         let pus = cfg.num_pus;
         let words = 32u64;
         let lines = words.div_ceil(cfg.geometry.words_per_line() as u64);
@@ -353,6 +361,12 @@ mod tests {
                 let (pu, _) = running.pop().expect("checked");
                 sys.squash_at(pu, Cycle(0));
             }
+        };
+        // The accessed line, its holders and the local-hit count before an
+        // access: an access that leaves the count unchanged went to the bus.
+        let before = |sys: &SvcSystem, addr: Addr| {
+            let line = sys.config().geometry.line_of(addr);
+            (line, sys.snapshots(line), sys.stats().local_hits)
         };
         for step in 0..steps {
             let now = Cycle(step as u64);
@@ -376,13 +390,21 @@ mod tests {
                 }
                 3..=7 if !running.is_empty() => {
                     let (pu, _) = running[(pick % running.len() as u64) as usize];
-                    let _ = sys.load(pu, Addr(rng.next_u64() % words), now);
+                    let addr = Addr(rng.next_u64() % words);
+                    let (line, holders, hits) = before(&sys, addr);
+                    if sys.load(pu, addr, now).is_ok() && sys.stats().local_hits == hits {
+                        on_bus(&sys, pu, line, &holders);
+                    }
                     "load"
                 }
                 8..=11 if !running.is_empty() => {
                     let (pu, _) = running[(pick % running.len() as u64) as usize];
                     let addr = Addr(rng.next_u64() % words);
+                    let (line, holders, hits) = before(&sys, addr);
                     if let Ok(out) = sys.store(pu, addr, Word(pick), now) {
+                        if sys.stats().local_hits == hits {
+                            on_bus(&sys, pu, line, &holders);
+                        }
                         if let Some(v) = out.violation {
                             squash_from(&mut sys, &mut running, v.victim);
                             next_task = next_task.min(v.victim.0);
@@ -445,7 +467,7 @@ mod tests {
                 let mut base = SvcConfig::base(pus);
                 base.geometry = CacheGeometry::word_lines(4, 2);
                 for cfg in [fin, base] {
-                    drive(cfg, seed, steps);
+                    drive(cfg, seed, steps, |_, _, _, _| {});
                 }
             }
         }

@@ -27,35 +27,23 @@ use crate::line::{LineState, SvcLine};
 use crate::mask::SubMask;
 use crate::presence::Presence;
 use crate::snapshot::LineSnapshot;
-use crate::vcl::{ReadPlan, SupplySource, Vcl, WritePlan};
-use crate::vol::{order_vol, vol_indices, vol_trace_entries};
+use crate::vcl::{committed_flush, ReadPlan, SupplySource, Vcl, WritePlan};
+use crate::vol::{order_vol, vol_trace_entries};
 
-/// Data gathered for one fill, kept inline for paper-sized lines: per
-/// filled sub-block `(index, from_cache)` metadata plus a flat word
-/// buffer holding `w` words per entry in the same order.
+/// Data gathered for one fill, kept inline for paper-sized lines: the
+/// filled sub-blocks plus a flat word buffer holding `w` words per
+/// sub-block in the same order.
 struct GatheredFill {
-    meta: SmallVec<(usize, bool), 8>,
+    subblocks: SmallVec<usize, 8>,
     words: SmallVec<Word, 8>,
     w: usize,
 }
 
 impl GatheredFill {
-    /// `(sub-block, its words, from_cache)` per filled sub-block.
-    fn iter(&self) -> impl Iterator<Item = (usize, &[Word], bool)> {
-        self.meta
-            .iter()
-            .enumerate()
-            .map(move |(i, &(j, from_cache))| {
-                (j, &self.words[i * self.w..(i + 1) * self.w], from_cache)
-            })
-    }
-
-    /// Whether sub-block `j`'s data came from another cache.
-    fn came_from_cache(&self, j: usize) -> Option<bool> {
-        self.meta
-            .iter()
-            .find(|&&(fj, _)| fj == j)
-            .map(|&(_, from_cache)| from_cache)
+    /// `(sub-block, its words)` per filled sub-block.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[Word])> {
+        (self.subblocks.iter().enumerate())
+            .map(move |(i, &j)| (j, &self.words[i * self.w..(i + 1) * self.w]))
     }
 }
 
@@ -318,6 +306,40 @@ impl SvcSystem {
             });
     }
 
+    /// Finishes an access that `pu`'s own slot `r` served without the
+    /// bus: touches the slot, counts the hit, traces the line's change
+    /// from `from` and the access, and returns when the access is done.
+    #[allow(clippy::too_many_arguments)]
+    fn local_hit(
+        &mut self,
+        pu: PuId,
+        r: WayRef,
+        from: LineBits,
+        task: TaskId,
+        op: AccessOp,
+        addr: Addr,
+        now: Cycle,
+    ) -> Cycle {
+        self.caches[pu.index()].touch(r);
+        self.stats.local_hits += 1;
+        let done_at = now + self.config.timing.hit_cycles;
+        if self.tracer.enabled(Category::Line) {
+            let to = self.caches[pu.index()].slot(r).bits();
+            if from != to {
+                let line = self.config.geometry.line_of(addr);
+                self.tracer
+                    .emit(now, Category::Line, || TraceEvent::LineTransition {
+                        pu,
+                        line,
+                        from,
+                        to,
+                    });
+            }
+        }
+        self.emit_access(pu, task, op, addr, "local", done_at, now);
+        done_at
+    }
+
     // -----------------------------------------------------------------
     // Snapshots and plan application
     // -----------------------------------------------------------------
@@ -411,12 +433,12 @@ impl SvcSystem {
         l.data[j * w..(j + 1) * w].iter().copied().collect()
     }
 
-    /// Gathers the data for a fill: `(sub-block, words, from_cache)`.
+    /// Gathers the data for a fill.
     fn gather_fill(&mut self, line: LineId, fill: &[(usize, SupplySource)]) -> GatheredFill {
         let w = self.config.geometry.words_per_subblock();
         let wpl = self.config.geometry.words_per_line();
         let mut gathered = GatheredFill {
-            meta: SmallVec::new(),
+            subblocks: fill.iter().map(|&(j, _)| j).collect(),
             words: SmallVec::new(),
             w,
         };
@@ -430,7 +452,6 @@ impl SvcSystem {
                     gathered
                         .words
                         .extend(l.data[j * w..(j + 1) * w].iter().copied());
-                    gathered.meta.push((j, true));
                 }
                 SupplySource::Memory => {
                     for k in 0..w {
@@ -438,7 +459,6 @@ impl SvcSystem {
                             .words
                             .push(self.backing.read(line.word(j * w + k, wpl)));
                     }
-                    gathered.meta.push((j, false));
                 }
             }
         }
@@ -473,7 +493,7 @@ impl SvcSystem {
             }
             let was_arch = l.arch || !l.is_valid();
             l.line = Some(line);
-            for (j, words, _) in data.iter() {
+            for (j, words) in data.iter() {
                 for (k, word) in words.iter().enumerate() {
                     l.data[j * w + k] = *word;
                 }
@@ -511,51 +531,28 @@ impl SvcSystem {
         }
     }
 
-    /// Rewrites the VOL pointers of every copy of `line` to match `order`
-    /// (members no longer valid are skipped).
-    fn rewrite_pointers(&mut self, line: LineId, order: &[PuId]) {
-        let mut holders: SmallVec<PuId, 8> = order
-            .iter()
-            .copied()
-            .filter(|q| self.caches[q.index()].find(line).is_some())
-            .collect();
-        if Mutation::VolSpliceBackwards.enabled() {
-            holders.reverse();
-        }
-        let sole = holders.len() == 1;
-        for (i, &q) in holders.iter().enumerate() {
-            let r = self.caches[q.index()].find(line).expect("holder");
-            let l = self.caches[q.index()].slot_mut(r);
-            l.next = holders.get(i + 1).copied();
+    /// Writes a plan's VOL after the transaction into the members of
+    /// `line`, each visited once: its pointer to its successor in `order`,
+    /// its X bit (set only for a sole member) and, unless `fresh_from` is
+    /// `None`, its T bit (set before that index, clear from it on). During
+    /// a bus transaction, nothing else writes these bits. Rewriting every
+    /// pointer also repairs the dangling ones squashes leave (§3.5).
+    fn write_vol(&mut self, line: LineId, order: &[PuId], fresh_from: Option<usize>) {
+        let backwards = Mutation::VolSpliceBackwards.enabled();
+        let sole = order.len() == 1;
+        for (i, &q) in order.iter().enumerate() {
+            let cache = &mut self.caches[q.index()];
+            let r = cache.find(line).expect("VOL member holds the line");
+            let l = cache.slot_mut(r);
+            l.next = if backwards {
+                i.checked_sub(1).map(|p| order[p])
+            } else {
+                order.get(i + 1).copied()
+            };
             l.exclusive = sole;
-        }
-    }
-
-    /// Re-establishes the T-bit invariant over the final membership: the
-    /// most recent version and every younger copy are not stale; everything
-    /// older is (§3.4.3). Also repairs T after squashes (§3.5).
-    fn recompute_stale(&mut self, line: LineId) {
-        if !self.config.stale_bit {
-            return;
-        }
-        let snaps = self.snapshots(line);
-        let vol = order_vol(&snaps);
-        let has_store = |pu: PuId| {
-            let r = self.caches[pu.index()].find(line).expect("member");
-            !self.caches[pu.index()].slot(r).store.is_empty()
-        };
-        // With a version member present, position decides: the most recent
-        // version and the copies after it (necessarily copies of it, kept
-        // consistent by the invalidation walks) are fresh, everything
-        // older is stale. With *no* version member — the versions were
-        // flushed/purged to memory — staleness must not be cleared: a copy
-        // of an older architectural value may still be around, and only a
-        // refetch (which installs a fresh line) makes it current again.
-        let last_version = vol.iter().rposition(|&q| has_store(q));
-        let Some(k) = last_version else { return };
-        for (i, &q) in vol.iter().enumerate() {
-            let r = self.caches[q.index()].find(line).expect("member");
-            self.caches[q.index()].slot_mut(r).stale = i < k;
+            if let Some(k) = fresh_from {
+                l.stale = i < k;
+            }
         }
     }
 
@@ -683,13 +680,12 @@ impl SvcSystem {
         if !plan.write_evicted.is_empty() {
             self.flush_to_memory(pu, line, plan.write_evicted, now);
         }
+        // The purge set includes the evictor.
         self.apply_purge(line, &plan.purge, &plan.flush);
         if !plan.purge.is_empty() {
             self.emit_vol(line, VolOp::Purge, now);
         }
-        self.invalidate_line(pu, line);
-        self.rewrite_pointers(line, &plan.vol_after);
-        self.recompute_stale(line);
+        self.write_vol(line, &plan.vol_after, plan.fresh_from);
         self.emit_vol(line, VolOp::Splice, now);
         self.emit_line_transitions(line, before, now);
         grant.done
@@ -734,18 +730,20 @@ impl SvcSystem {
                 self.stats.snarfs += 1;
             }
         }
-        self.rewrite_pointers(line, &plan.vol_after);
-        self.recompute_stale(line);
+        self.write_vol(line, &plan.vol_after, plan.fresh_from);
         // Classify the requested sub-block's source for miss accounting.
-        let from_cache = data
-            .came_from_cache(requested)
+        let &(_, src) = (plan.fill.iter())
+            .find(|&&(fj, _)| fj == requested)
             .expect("requested sub-block is in the fill");
-        if from_cache {
-            self.stats.cache_transfers += 1;
-            DataSource::Transfer
-        } else {
-            self.stats.next_level_fills += 1;
-            DataSource::NextLevel
+        match src {
+            SupplySource::Cache(_) => {
+                self.stats.cache_transfers += 1;
+                DataSource::Transfer
+            }
+            SupplySource::Memory => {
+                self.stats.next_level_fills += 1;
+                DataSource::NextLevel
+            }
         }
     }
 
@@ -793,7 +791,7 @@ impl SvcSystem {
                 l.invalidate();
             }
             l.line = Some(line);
-            for (fj, words, _) in data.iter() {
+            for (fj, words) in data.iter() {
                 for (k, word) in words.iter().enumerate() {
                     l.data[fj * w + k] = *word;
                 }
@@ -816,8 +814,7 @@ impl SvcSystem {
             l.arch = false;
         });
         self.caches[pu.index()].touch(slot);
-        self.rewrite_pointers(line, &plan.vol_after);
-        self.recompute_stale(line);
+        self.write_vol(line, &plan.vol_after, plan.fresh_from);
         // Report the oldest violated task, if any.
         if plan.victims.is_empty() {
             None
@@ -988,22 +985,7 @@ impl VersionedMemory for SvcSystem {
                 if !l.store.contains(j) && !Mutation::LoadSkipsLBit.enabled() {
                     l.load.set(j);
                 }
-                self.caches[pu.index()].touch(r);
-                self.stats.local_hits += 1;
-                let done_at = now + self.config.timing.hit_cycles;
-                if self.tracer.enabled(Category::Line) {
-                    let to = self.line_bits(pu, line);
-                    if from != to {
-                        self.tracer
-                            .emit(now, Category::Line, || TraceEvent::LineTransition {
-                                pu,
-                                line,
-                                from,
-                                to,
-                            });
-                    }
-                }
-                self.emit_access(pu, task, AccessOp::Load, addr, "local", done_at, now);
+                let done_at = self.local_hit(pu, r, from, task, AccessOp::Load, addr, now);
                 return Ok(LoadOutcome {
                     value,
                     done_at,
@@ -1025,20 +1007,7 @@ impl VersionedMemory for SvcSystem {
                     l.arch = true;
                     l.load = SubMask::single(j);
                 });
-                self.caches[pu.index()].touch(r);
-                self.stats.local_hits += 1;
-                let done_at = now + self.config.timing.hit_cycles;
-                if self.tracer.enabled(Category::Line) {
-                    let to = self.line_bits(pu, line);
-                    self.tracer
-                        .emit(now, Category::Line, || TraceEvent::LineTransition {
-                            pu,
-                            line,
-                            from,
-                            to,
-                        });
-                }
-                self.emit_access(pu, task, AccessOp::Load, addr, "local", done_at, now);
+                let done_at = self.local_hit(pu, r, from, task, AccessOp::Load, addr, now);
                 return Ok(LoadOutcome {
                     value,
                     done_at,
@@ -1188,22 +1157,7 @@ impl VersionedMemory for SvcSystem {
                 if wide {
                     l.load.set(j); // partial-coverage dependence (§5.6)
                 }
-                self.caches[pu.index()].touch(r);
-                self.stats.local_hits += 1;
-                let done_at = now + self.config.timing.hit_cycles;
-                if self.tracer.enabled(Category::Line) {
-                    let to = self.line_bits(pu, line);
-                    if from != to {
-                        self.tracer
-                            .emit(now, Category::Line, || TraceEvent::LineTransition {
-                                pu,
-                                line,
-                                from,
-                                to,
-                            });
-                    }
-                }
-                self.emit_access(pu, task, AccessOp::Store, addr, "local", done_at, now);
+                let done_at = self.local_hit(pu, r, from, task, AccessOp::Store, addr, now);
                 return Ok(StoreOutcome {
                     done_at,
                     violation: None,
@@ -1237,20 +1191,7 @@ impl VersionedMemory for SvcSystem {
                     }
                     l.arch = false;
                 });
-                self.caches[pu.index()].touch(r);
-                self.stats.local_hits += 1;
-                let done_at = now + self.config.timing.hit_cycles;
-                if self.tracer.enabled(Category::Line) {
-                    let to = self.line_bits(pu, line);
-                    self.tracer
-                        .emit(now, Category::Line, || TraceEvent::LineTransition {
-                            pu,
-                            line,
-                            from,
-                            to,
-                        });
-                }
-                self.emit_access(pu, task, AccessOp::Store, addr, "local", done_at, now);
+                let done_at = self.local_hit(pu, r, from, task, AccessOp::Store, addr, now);
                 return Ok(StoreOutcome {
                     done_at,
                     violation: None,
@@ -1484,23 +1425,7 @@ impl VersionedMemory for SvcSystem {
             }
         }
         for line in lines {
-            let snaps = self.snapshots(line);
-            let committed: Vec<&LineSnapshot> = vol_indices(&snaps)
-                .into_iter()
-                .map(|i| &snaps[i])
-                .filter(|s| s.committed)
-                .collect();
-            let subblocks = self.config.geometry.subblocks_per_line();
-            let mut flushes: Vec<(PuId, SubMask)> = Vec::new();
-            for j in 0..subblocks {
-                if let Some(s) = committed.iter().rev().find(|s| s.store.contains(j)) {
-                    match flushes.iter_mut().find(|(q, _)| *q == s.pu) {
-                        Some((_, m)) => m.set(j),
-                        None => flushes.push((s.pu, SubMask::single(j))),
-                    }
-                }
-            }
-            for (q, mask) in flushes {
+            for (q, mask) in committed_flush(&self.snapshots(line)) {
                 self.flush_to_memory(q, line, mask, Cycle::ZERO);
                 if let Some(r) = self.caches[q.index()].find(line) {
                     let l = self.caches[q.index()].slot_mut(r);
@@ -1646,5 +1571,75 @@ impl svc_types::Checkpointable for SvcSystem {
         self.faults.restore_state(r)?;
         self.presence.rebuild(&self.caches);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use svc_mem::CacheGeometry;
+
+    use super::*;
+    use crate::presence::tests::drive;
+
+    /// The T bits of `line`'s holders in VOL order, by the positional rule
+    /// that once recomputed them after every bus transaction: the most
+    /// recent version and the copies after it are fresh, everything older
+    /// is stale (§3.4.3). `None` when no holder has store data or the
+    /// design keeps no T bit (errata 4).
+    fn reference_stale(sys: &SvcSystem, line: LineId) -> Option<Vec<bool>> {
+        if !sys.config().stale_bit {
+            return None;
+        }
+        let snaps = sys.snapshots(line);
+        let vol = order_vol(&snaps);
+        let version = |q: &PuId| snaps.iter().any(|s| s.pu == *q && s.is_version());
+        let k = vol.iter().rposition(version)?;
+        Some((0..vol.len()).map(|i| i < k).collect())
+    }
+
+    /// Asserts the pointer, X and T bit of every holder of `line` after
+    /// `pu`'s bus transaction on it; `before` holds the line's holders
+    /// before the access.
+    fn assert_vol_bits(sys: &SvcSystem, pu: PuId, line: LineId, before: &[LineSnapshot]) {
+        let snaps = sys.snapshots(line);
+        let vol = order_vol(&snaps);
+        let stale = reference_stale(sys, line);
+        for (i, &q) in vol.iter().enumerate() {
+            let s = snaps.iter().find(|s| s.pu == q).expect("holder");
+            assert_eq!(s.next, vol.get(i + 1).copied(), "{q}'s pointer, {line}");
+            let sole = vol.len() == 1;
+            assert_eq!(sys.line_exclusive(q, line), sole, "{q}'s X bit, {line}");
+            // Without a version member T stays as it was, except on a
+            // freshly filled copy: a new holder, or the requestor's
+            // refetch of a committed line.
+            let kept = (before.iter())
+                .find(|b| b.pu == q && (q != pu || !b.committed))
+                .is_some_and(|b| b.stale);
+            let want = stale.as_ref().map_or(kept, |bits| bits[i]);
+            assert_eq!(s.stale, want, "{q}'s T bit, {line}, {pu} requesting");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// After every bus transaction of random histories at 4, 65, 130
+        /// and 256 PUs, the plan has written each holder's pointer, X and
+        /// T bit as a reconstruction from the caches would.
+        #[test]
+        fn bus_transactions_write_the_reference_vol_bits(seed in any::<u64>(), steps in 100usize..240) {
+            for pus in [4, 65, 130, 256] {
+                let mut base = SvcConfig::base(pus);
+                base.geometry = CacheGeometry::word_lines(4, 2);
+                let mut ecs = SvcConfig::ecs(pus);
+                ecs.geometry = CacheGeometry::word_lines(4, 2);
+                let mut fin = SvcConfig::final_design(pus);
+                fin.geometry = CacheGeometry::new(4, 2, 4, 1);
+                for cfg in [base, ecs, fin] {
+                    drive(cfg, seed, steps, assert_vol_bits);
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! each sub-block, which committed versions to write back or purge, which
 //! copies to invalidate or update, which tasks are squashed by a detected
 //! memory-dependence violation, who may snarf, and the VOL after the
-//! transaction. The [`SvcSystem`](crate::SvcSystem) applies the plan
-//! (moves data, rewrites pointers and bits) and charges the timing.
+//! transaction with every member's T bit. The [`SvcSystem`](crate::SvcSystem)
+//! applies the plan (moves data, writes each member's pointer, X and T bit
+//! once) and charges the timing.
 //!
 //! Keeping the VCL pure makes the paper's figure walk-throughs directly
 //! testable; see the unit tests at the bottom of this module.
@@ -77,6 +78,11 @@ pub struct ReadPlan {
     pub snarfers: PuList,
     /// The VOL after the transaction (including requestor and snarfers).
     pub vol_after: VolOrder,
+    /// Members of `vol_after` before this index get the T bit, the rest
+    /// clear it: the index of the most recent member holding store data.
+    /// `None` leaves every T bit alone: the design keeps no T bit, or no
+    /// member holds store data afterwards (DESIGN.md errata 4).
+    pub fresh_from: Option<usize>,
 }
 
 /// The VCL's answer to a `BusWrite` request (paper §3.2.3, §3.4.2).
@@ -101,6 +107,8 @@ pub struct WritePlan {
     pub victims: VictimList,
     /// The VOL after the transaction.
     pub vol_after: VolOrder,
+    /// As [`ReadPlan::fresh_from`].
+    pub fresh_from: Option<usize>,
 }
 
 /// The VCL's answer to a `BusWback` (dirty replacement) request.
@@ -116,6 +124,8 @@ pub struct WbackPlan {
     pub write_evicted: SubMask,
     /// The VOL after the transaction (evictor removed).
     pub vol_after: VolOrder,
+    /// As [`ReadPlan::fresh_from`].
+    pub fresh_from: Option<usize>,
 }
 
 impl ReadPlan {
@@ -273,27 +283,33 @@ impl Vcl {
         };
 
         // VOL afterwards: survivors (clean committed + all uncommitted) in
-        // order, with requestor and snarfers at their task positions.
+        // order, with requestor and snarfers at their task positions. Only
+        // uncommitted data keeps its S bits: retained committed lines are
+        // clean or demoted, the requestor keeps its own active version,
+        // and snarfers install fresh copies.
         let mut after: OrderBuf = SmallVec::new();
+        let mut own_version = false;
         for s in &vol {
             if s.pu == pu {
-                continue; // the requestor re-enters at its task position
+                // The requestor re-enters at its task position.
+                own_version |= !s.committed && s.is_version();
+                continue;
             }
             if s.committed {
                 if !s.is_version() || demote.contains(&s.pu) {
-                    after.push((None, s.pu)); // retained passive clean
+                    after.push((None, s.pu, false)); // retained passive clean
                 }
             } else {
-                after.push((Some(s.ordering_task().expect("uncommitted")), s.pu));
+                after.push((s.ordering_task(), s.pu, s.is_version()));
             }
         }
-        after.push((Some(task), pu));
+        after.push((Some(task), pu, own_version));
         for &(q, qtask) in snarf_candidates {
             if snarfers.contains(&q) {
-                after.push((Some(qtask), q));
+                after.push((Some(qtask), q, false));
             }
         }
-        let vol_after = finish_order(after);
+        let (vol_after, fresh_from) = finish_order(after, self.trust_stale);
 
         ReadPlan {
             fill,
@@ -303,6 +319,7 @@ impl Vcl {
             demote,
             snarfers,
             vol_after,
+            fresh_from,
         }
     }
 
@@ -359,23 +376,23 @@ impl Vcl {
         }
 
         // VOL afterwards: committed all purged; fully-invalidated copies
-        // drop out; requestor joins at its position. (Squash victims keep
-        // their membership here — the engine squashes them immediately,
-        // which clears their whole cache.)
+        // drop out; requestor joins at its position, holding the new
+        // version. (Squash victims keep their membership here — the
+        // engine squashes them immediately, which clears their whole
+        // cache.)
         let mut after: OrderBuf = SmallVec::new();
-        for s in vol.iter().filter(|s| !s.committed) {
-            if s.pu == pu {
-                continue;
-            }
-            let gone = invalidate
+        for s in vol.iter().filter(|s| !s.committed && s.pu != pu) {
+            let lost = invalidate
                 .iter()
-                .any(|&(q, m)| q == s.pu && s.valid.minus(m).is_empty());
-            if !gone {
-                after.push((Some(s.ordering_task().expect("uncommitted")), s.pu));
+                .find(|&&(q, _)| q == s.pu)
+                .map_or(SubMask::EMPTY, |&(_, m)| m);
+            if !s.valid.minus(lost).is_empty() {
+                let version = !s.store.minus(lost).is_empty();
+                after.push((s.ordering_task(), s.pu, version));
             }
         }
-        after.push((Some(task), pu));
-        let vol_after = finish_order(after);
+        after.push((Some(task), pu, true));
+        let (vol_after, fresh_from) = finish_order(after, self.trust_stale);
 
         WritePlan {
             fill,
@@ -385,6 +402,7 @@ impl Vcl {
             update,
             victims,
             vol_after,
+            fresh_from,
         }
     }
 
@@ -429,16 +447,18 @@ impl Vcl {
             .filter(|s| s.committed || s.pu == pu)
             .map(|s| s.pu)
             .collect();
-        let mut after: OrderBuf = SmallVec::new();
-        for s in vol.iter().filter(|s| !s.committed && s.pu != pu) {
-            after.push((Some(s.ordering_task().expect("uncommitted")), s.pu));
-        }
-        let vol_after = finish_order(after);
+        let after: OrderBuf = vol
+            .iter()
+            .filter(|s| !s.committed && s.pu != pu)
+            .map(|s| (s.ordering_task(), s.pu, s.is_version()))
+            .collect();
+        let (vol_after, fresh_from) = finish_order(after, self.trust_stale);
         WbackPlan {
             flush,
             purge,
             write_evicted,
             vol_after,
+            fresh_from,
         }
     }
 }
@@ -447,8 +467,9 @@ impl Vcl {
 // Internal helpers
 // ---------------------------------------------------------------------
 
-/// `(ordering task, pu)` pairs accumulated before [`finish_order`].
-type OrderBuf = SmallVec<(Option<TaskId>, PuId), 8>;
+/// `(ordering task, pu, holds store data afterwards)` per member of the
+/// VOL after a transaction, accumulated before [`finish_order`].
+type OrderBuf = SmallVec<(Option<TaskId>, PuId, bool), 8>;
 
 /// Valid members in VOL order.
 fn ordered(snaps: &[LineSnapshot]) -> SmallVec<&LineSnapshot, 8> {
@@ -534,13 +555,20 @@ fn plan_fill(
         .collect()
 }
 
+/// Per-PU flush masks, plus the raw `(pu, sub-block)` winner pairs.
+type Winners = (MaskList, SmallVec<(PuId, usize), 8>);
+
+/// The committed versions of a line that must reach memory, for the
+/// members in `snaps`: per PU, the sub-blocks it holds the most recent
+/// committed version of, grouped in order of the lowest such sub-block.
+pub(crate) fn committed_flush(snaps: &[LineSnapshot]) -> MaskList {
+    committed_winners(&ordered(snaps)).0
+}
+
 /// For each sub-block, the most recent committed version wins and must be
 /// flushed to memory; older committed store data is silently superseded.
 /// Returns the flush list (grouped per PU) and the raw `(pu, subblock)`
 /// winner pairs.
-/// Per-PU flush masks, plus the raw `(pu, sub-block)` winner pairs.
-type Winners = (MaskList, SmallVec<(PuId, usize), 8>);
-
 fn committed_winners(vol: &[&LineSnapshot]) -> Winners {
     let mut winners: SmallVec<(PuId, usize), 8> = SmallVec::new();
     let committed: SmallVec<&LineSnapshot, 8> =
@@ -564,10 +592,19 @@ fn committed_winners(vol: &[&LineSnapshot]) -> Winners {
     (flush, winners)
 }
 
-/// Sorts `(ordering_task, pu)` pairs into a VOL: `None` (committed,
-/// retained) entries keep their relative order at the front; tasked
-/// entries follow by task id.
-fn finish_order(mut entries: OrderBuf) -> VolOrder {
+/// Sorts the members of the VOL after a transaction into order: `None`
+/// (committed, retained) entries keep their relative order at the front;
+/// tasked entries follow by task id.
+///
+/// Also returns where the T bits split (§3.4.3): the position of the most
+/// recent member holding store data. It and the copies after it (kept
+/// consistent with it by the invalidation walks) are fresh, everything
+/// older is stale. `None` leaves every T bit alone: the design keeps no T
+/// bit, or no version member remains (errata 4, monotonic staleness). A
+/// flushed or purged version may leave a copy of an older architectural
+/// value around, and only a refetch, which installs a fresh line, makes it
+/// current again.
+fn finish_order(mut entries: OrderBuf, trust_stale: bool) -> (VolOrder, Option<usize>) {
     // Stable sort: None < Some, Some sorted by task.
     entries.sort_by(|a, b| match (a.0, b.0) {
         (None, None) => core::cmp::Ordering::Equal,
@@ -575,7 +612,12 @@ fn finish_order(mut entries: OrderBuf) -> VolOrder {
         (Some(_), None) => core::cmp::Ordering::Greater,
         (Some(x), Some(y)) => x.cmp(&y),
     });
-    entries.into_iter().map(|(_, pu)| pu).collect()
+    let order = entries.iter().map(|&(_, pu, _)| pu).collect();
+    let fresh_from = entries
+        .iter()
+        .rposition(|&(_, _, version)| version)
+        .filter(|_| trust_stale);
+    (order, fresh_from)
 }
 
 #[cfg(test)]
@@ -654,6 +696,11 @@ mod tests {
             plan.vol_after,
             vec![PuId(X), PuId(Z), PuId(W), PuId(Y)],
             "W/2 inserted between Z/1 and Y/3"
+        );
+        assert_eq!(
+            plan.fresh_from,
+            Some(3),
+            "Y/3 is the most recent version: X, Z and W's copy of Z's version are stale"
         );
     }
 
@@ -759,6 +806,11 @@ mod tests {
         // the flush (final-design rule).
         assert!(plan.purge.contains(&PuId(X)) && plan.purge.contains(&PuId(Z)));
         assert_eq!(plan.vol_after, vec![PuId(W), PuId(Y)]);
+        assert_eq!(
+            plan.fresh_from,
+            Some(1),
+            "W copied version 1 but Y/3 holds a younger version"
+        );
     }
 
     // ---- Figure 13: EC-design store purges committed versions ------------
@@ -779,6 +831,39 @@ mod tests {
         assert!(plan.purge.contains(&PuId(X)) && plan.purge.contains(&PuId(Z)));
         assert!(plan.victims.is_empty());
         assert_eq!(plan.vol_after, vec![PuId(Y), PuId(X)]);
+        assert_eq!(plan.fresh_from, Some(1), "X/5 holds the newest version");
+    }
+
+    #[test]
+    fn flushed_and_purged_versions_leave_t_bits_alone() {
+        // X holds the only version, committed, and Y a committed clean
+        // copy of it. W/2 loads: X's version is flushed and purged, Y's
+        // copy survives. No member holds store data afterwards, so no T
+        // bit may change (errata 4): Y might copy an older value.
+        let snaps = [
+            snap(X, Some(5), 1, 1, 0, true, Some(Y)),
+            snap(Y, Some(6), 1, 0, 0, true, None),
+            absent(Z, Some(4)),
+            absent(W, Some(2)),
+        ];
+        let plan = vcl().plan_read(&snaps, PuId(W), TaskId(2), None, SubMask::all(1), &[]);
+        assert_eq!(plan.flush, vec![(PuId(X), SubMask::all(1))]);
+        assert_eq!(plan.purge, vec![PuId(X)]);
+        assert_eq!(plan.vol_after, vec![PuId(Y), PuId(W)]);
+        assert_eq!(plan.fresh_from, None);
+        // The requestor's own active version keeps the split defined;
+        // without the T bit there is never one.
+        let mut own = snaps;
+        own[3] = snap(W, Some(2), 0b10, 0b10, 0, false, None);
+        let plan = vcl().plan_read(&own, PuId(W), TaskId(2), None, SubMask::single(0), &[]);
+        assert_eq!(plan.vol_after, vec![PuId(Y), PuId(W)]);
+        assert_eq!(plan.fresh_from, Some(1));
+        let plain = Vcl {
+            trust_stale: false,
+            ..vcl()
+        };
+        let plan = plain.plan_read(&own, PuId(W), TaskId(2), None, SubMask::single(0), &[]);
+        assert_eq!(plan.fresh_from, None);
     }
 
     // ---- Sub-block (RL) behaviour ----------------------------------------

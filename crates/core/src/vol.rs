@@ -6,8 +6,8 @@
 //! invalidate the (uncommitted) tail of the list and may leave a dangling
 //! pointer in the last surviving entry (§3.5, Figure 17); reconstruction
 //! here simply ignores pointers to caches that no longer hold the line,
-//! which *is* the repair — the system rewrites all pointers from the
-//! reconstructed order when it applies the plan.
+//! which *is* the repair — each VCL plan carries the VOL after its
+//! transaction, and the system writes every member's pointer from it.
 
 use smallvec::SmallVec;
 use svc_sim::trace::VolEntry;

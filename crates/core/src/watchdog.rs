@@ -21,7 +21,7 @@
 //!   request repairs them, §3.5.)
 //! - **Program-order consistency** ([`InvariantKind::VolOrder`]): every
 //!   stored pointer between two live holders agrees with the VOL
-//!   reconstructed by [`order_vol`] — no pointer runs backwards.
+//!   reconstructed by [`order_vol`](crate::order_vol) — no pointer runs backwards.
 //!   Two epoch-stale shapes are exempt because only bus transactions
 //!   rewrite pointers: a pointer *from* an uncommitted architectural
 //!   copy (local reuse, §3.4.3/§3.5.1, adopts the line without a bus

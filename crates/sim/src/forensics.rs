@@ -2,7 +2,7 @@
 //!
 //! A squash counter going up tells you *that* speculation failed; this
 //! module reconstructs *why*. Working over the recorded
-//! [`Record`](crate::trace::Record) stream it can
+//! [`Record`] stream it can
 //!
 //! * rebuild a chosen line's full version history
 //!   ([`line_history`] / [`render_line_report`]): every state-bit

@@ -30,8 +30,9 @@ pub enum Mutation {
     /// `SvcSystem::apply_write_plan`: a store skips the per-sub-block
     /// invalidation of stale copies in other caches.
     StoreSkipsInvalidation,
-    /// `SvcSystem::rewrite_pointers`: the Version Ordering List pointers
-    /// are spliced in reverse order, corrupting version order.
+    /// `SvcSystem::write_vol`: each member's Version Ordering List pointer
+    /// names its predecessor instead of its successor, corrupting version
+    /// order.
     VolSpliceBackwards,
     /// `ArbSystem::store`: the forward violation walk ignores the
     /// shadowing store of an intervening version, reporting spurious

@@ -5,7 +5,7 @@
 //! * `explore [--design NAME ...] [--max-states N] [--expect-violation]
 //!   [--write-counterexample FILE]` — exhaustively explore the bounded
 //!   state space of one or more designs (default: all). Exits
-//!   [`EXIT_INVARIANT`] on a property violation or a truncated run;
+//!   [`EXIT_INVARIANT`](svc_bench::cli::EXIT_INVARIANT) on a property violation or a truncated run;
 //!   `--expect-violation` inverts that (used by the mutation campaign).
 //! * `replay FILE [--emit-test FILE] [--provenance NAME]` — replay a
 //!   counterexample script; optionally render it as a standalone
