@@ -4,8 +4,10 @@
 //! snapshots, cache-array lookup and victim selection, snooping-bus
 //! arbitration, an SVC commit, an ARB access that reclaims a row, and
 //! the ARB row index's hasher. Each runs thousands of times per
-//! simulated kilocycle, so these are the numbers that move
-//! `sim_cycles_per_sec`.
+//! simulated kilocycle, so these are the numbers that move simulator
+//! throughput. `protocol` times whole SVC operations (local hits, bus
+//! transactions with VCL planning, commits and squashes) and
+//! `baselines` the ARB and ideal-memory equivalents.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -14,7 +16,7 @@ use std::hash::{BuildHasher, BuildHasherDefault, RandomState};
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 use std::hint::black_box;
 
-use svc::{order_vol, LineSnapshot, SubMask, SvcConfig, SvcSystem, Vcl};
+use svc::{order_vol, IdealMemory, LineSnapshot, SubMask, SvcConfig, SvcSystem, Vcl};
 use svc_arb::{ArbConfig, ArbSystem};
 use svc_mem::{Bus, CacheArray, CacheGeometry, Slot};
 use svc_multiscalar::{Instr, TaskSource};
@@ -327,5 +329,124 @@ fn index(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, vcl, vol, cache_array, bus, svc, arb, index);
+/// SVC protocol hot paths.
+fn protocol(c: &mut Criterion) {
+    let mut g = c.benchmark_group("protocol");
+
+    g.bench_function("svc_local_load_hit", |bench| {
+        let mut svc = SvcSystem::new(SvcConfig::final_design(4));
+        svc.assign(PuId(0), TaskId(0));
+        svc.store(PuId(0), Addr(0), Word(1), Cycle(0))
+            .expect("warm");
+        let mut now = Cycle(10);
+        bench.iter(|| {
+            now += 1;
+            black_box(svc.load(PuId(0), Addr(0), now).expect("hit"))
+        })
+    });
+
+    g.bench_function("svc_local_store_hit", |bench| {
+        let mut svc = SvcSystem::new(SvcConfig::final_design(4));
+        svc.assign(PuId(0), TaskId(0));
+        svc.store(PuId(0), Addr(0), Word(1), Cycle(0))
+            .expect("warm");
+        let mut now = Cycle(10);
+        bench.iter(|| {
+            now += 1;
+            black_box(svc.store(PuId(0), Addr(0), Word(now.0), now).expect("hit"))
+        })
+    });
+
+    g.bench_function("svc_bus_transfer_with_vcl", |bench| {
+        // Repeatedly bounce a line between two tasks' caches: every access
+        // is a bus transaction planned by the VCL.
+        bench.iter_batched(
+            || {
+                let mut svc = SvcSystem::new(SvcConfig::final_design(4));
+                svc.assign(PuId(0), TaskId(0));
+                svc.assign(PuId(1), TaskId(1));
+                svc.store(PuId(0), Addr(0), Word(1), Cycle(0))
+                    .expect("seed");
+                svc
+            },
+            |mut svc| {
+                for i in 0..32u64 {
+                    black_box(svc.load(PuId(1), Addr(0), Cycle(10 + i)).expect("xfer"));
+                    black_box(
+                        svc.store(PuId(0), Addr(0), Word(i), Cycle(11 + i))
+                            .expect("inval"),
+                    );
+                }
+                svc
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    g.bench_function("svc_commit_squash_cycle", |bench| {
+        bench.iter_batched(
+            || {
+                let mut svc = SvcSystem::new(SvcConfig::final_design(4));
+                svc.assign(PuId(0), TaskId(0));
+                for a in 0..64u64 {
+                    svc.store(PuId(0), Addr(a * 4), Word(a), Cycle(a))
+                        .expect("fill");
+                }
+                svc
+            },
+            |mut svc| {
+                svc.commit(PuId(0), Cycle(1000));
+                svc.assign(PuId(0), TaskId(1));
+                svc.squash(PuId(0));
+                svc
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
+/// ARB and ideal-memory equivalents, for speed comparison.
+fn baselines(c: &mut Criterion) {
+    let mut g = c.benchmark_group("baselines");
+
+    g.bench_function("arb_store_load_pair", |bench| {
+        let mut arb = ArbSystem::new(ArbConfig::paper(4, 1, 32));
+        arb.assign(PuId(0), TaskId(0));
+        arb.assign(PuId(1), TaskId(1));
+        let mut now = Cycle(0);
+        bench.iter(|| {
+            now += 1;
+            arb.store(PuId(0), Addr(0), Word(now.0), now)
+                .expect("store");
+            black_box(arb.load(PuId(1), Addr(0), now).expect("load"))
+        })
+    });
+
+    g.bench_function("ideal_store_load_pair", |bench| {
+        let mut m = IdealMemory::new(4, 1);
+        m.assign(PuId(0), TaskId(0));
+        m.assign(PuId(1), TaskId(1));
+        let mut now = Cycle(0);
+        bench.iter(|| {
+            now += 1;
+            m.store(PuId(0), Addr(0), Word(now.0), now).expect("store");
+            black_box(m.load(PuId(1), Addr(0), now).expect("load"))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    vcl,
+    vol,
+    cache_array,
+    bus,
+    svc,
+    arb,
+    index,
+    protocol,
+    baselines
+);
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 //! Run all: `cargo run --release -p svc-bench --bin ablations`
 
 use svc::{SvcConfig, SvcSystem};
-use svc_bench::{cli, harness, publish_paper_grid, ExperimentResult, RunOptions, PAPER_SEED};
+use svc_bench::{cli, harness, write_paper_docs, ExperimentResult, RunOptions, PAPER_SEED};
 use svc_mem::CacheGeometry;
 use svc_multiscalar::{Engine, EngineConfig, PredictorModel, TaskSource};
 use svc_workloads::kernels;
@@ -212,7 +212,7 @@ fn main() {
         jobs.push((study, arm_a, label_a));
         jobs.push((study, arm_b, label_b));
     }
-    let outcome = harness::run_grid(
+    let results = harness::run_grid(
         &jobs,
         PAPER_SEED,
         opts.threads,
@@ -227,7 +227,7 @@ fn main() {
         }
     };
 
-    let cell = |i: usize, side: usize| &outcome.results[i * 2 + side];
+    let cell = |i: usize, side: usize| &results[i * 2 + side];
 
     println!("ablation: commit policy (streaming stores — the base design's writeback burst)");
     let (eager, lazy) = (cell(0, 0), cell(0, 1));
@@ -284,7 +284,7 @@ fn main() {
 
     cli::check_io(
         "results/ablations.json",
-        publish_paper_grid("ablations", 0, &outcome, &opts),
+        write_paper_docs("ablations", 0, &results, &opts),
     );
 
     println!();

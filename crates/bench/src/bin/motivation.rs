@@ -16,7 +16,7 @@
 use svc::{SvcConfig, SvcSystem};
 use svc_arb::{ArbConfig, ArbSystem};
 use svc_bench::{
-    cli, harness, publish_paper_grid, spec95_config, ExperimentResult, RunOptions, NUM_PUS,
+    cli, harness, spec95_config, write_paper_docs, ExperimentResult, RunOptions, NUM_PUS,
     PAPER_SEED,
 };
 use svc_lsq::{LsqConfig, LsqMemory};
@@ -106,7 +106,7 @@ fn main() {
             jobs.push((bench, design));
         }
     }
-    let outcome = harness::run_grid(
+    let results = harness::run_grid(
         &jobs,
         PAPER_SEED,
         opts.threads,
@@ -121,7 +121,7 @@ fn main() {
     );
     let mut ok = true;
     for (bi, bench) in BENCHES.into_iter().enumerate() {
-        let row = &outcome.results[bi * Design::ALL.len()..(bi + 1) * Design::ALL.len()];
+        let row = &results[bi * Design::ALL.len()..(bi + 1) * Design::ALL.len()];
         let (lsq16, lsq64, arb, svc) = (&row[0], &row[1], &row[2], &row[3]);
         t.row(vec![
             bench.name().into(),
@@ -141,7 +141,7 @@ fn main() {
     println!("ARB-2c: contention-free shared buffer, 2-cycle hits; SVC: 4x8KB.");
     cli::check_io(
         "results/motivation.json",
-        publish_paper_grid("motivation", budget, &outcome, &opts),
+        write_paper_docs("motivation", budget, &results, &opts),
     );
     std::process::exit(i32::from(!ok));
 }

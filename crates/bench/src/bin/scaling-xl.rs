@@ -15,7 +15,7 @@
 //! the PU count (e.g. `SVC-128x8KB`).
 
 use svc_bench::{
-    cli, publish_paper_grid, run_journaled_grid, run_source, spec95_config, GridJob, MemoryKind,
+    cli, run_journaled_grid, run_source, spec95_config, write_paper_docs, GridJob, MemoryKind,
     PAPER_SEED,
 };
 use svc_multiscalar::EngineConfig;
@@ -38,7 +38,7 @@ fn main() {
             });
         }
     }
-    let outcome = run_journaled_grid(&jobs, PAPER_SEED, budget, &opts, |job, _derived| {
+    let results = run_journaled_grid(&jobs, PAPER_SEED, budget, &opts, |job, _derived| {
         let cfg = EngineConfig {
             // The safety stop must clear a multi-billion-cycle budget:
             // hundreds of PUs on one snooping bus serialize hard, so
@@ -58,7 +58,7 @@ fn main() {
     );
     for (bi, bench) in BENCHES.into_iter().enumerate() {
         for (pi, pus) in PUS.into_iter().enumerate() {
-            let r = &outcome.results[bi * PUS.len() + pi];
+            let r = &results[bi * PUS.len() + pi];
             t.row(vec![
                 bench.to_string(),
                 format!("{pus}"),
@@ -74,6 +74,6 @@ fn main() {
     println!("bus bottleneck, measured instead of argued.");
     cli::check_io(
         "results/scaling-xl.json",
-        publish_paper_grid("scaling-xl", budget, &outcome, &opts),
+        write_paper_docs("scaling-xl", budget, &results, &opts),
     );
 }

@@ -9,7 +9,7 @@
 //! through the parallel harness and writes `results/scaling.json`; the
 //! memory labels encode the PU count (e.g. `SVC-8x8KB`).
 
-use svc_bench::{cli, publish_paper_grid, run_paper_grid, GridJob, MemoryKind};
+use svc_bench::{cli, run_paper_grid, write_paper_docs, GridJob, MemoryKind};
 use svc_sim::table::{fmt_ipc, fmt_ratio, Table};
 use svc_workloads::Spec95;
 
@@ -38,7 +38,7 @@ fn main() {
             }
         }
     }
-    let outcome = run_paper_grid(&jobs, budget, &opts);
+    let results = run_paper_grid(&jobs, budget, &opts);
 
     for (bi, bench) in BENCHES.into_iter().enumerate() {
         println!("scaling on {bench}:\n");
@@ -50,8 +50,8 @@ fn main() {
         );
         for (pi, pus) in PUS.into_iter().enumerate() {
             let base = (bi * PUS.len() + pi) * MEMORIES.len();
-            let svc = &outcome.results[base];
-            let arb = &outcome.results[base + 1];
+            let svc = &results[base];
+            let arb = &results[base + 1];
             t.row(vec![
                 format!("{pus}"),
                 fmt_ipc(svc.ipc),
@@ -67,6 +67,6 @@ fn main() {
     println!("against the ARB's latency ceiling.");
     cli::check_io(
         "results/scaling.json",
-        publish_paper_grid("scaling", budget, &outcome, &opts),
+        write_paper_docs("scaling", budget, &results, &opts),
     );
 }

@@ -10,10 +10,9 @@
 //!   (a [`SplitMix64`] stream), never from execution order;
 //! * results land in a slot vector indexed by job, so collection order
 //!   is the grid order regardless of completion order;
-//! * simulated outputs carry no wall-clock data — timing lives in the
-//!   separate [`GridOutcome`] self-measurement fields, which callers
-//!   route to the perf snapshot (`BENCH_experiments.json`), never into
-//!   the deterministic `results/*.json` artifacts.
+//! * the harness measures no wall-clock time, so nothing host-dependent
+//!   can reach the deterministic `results/*.json` artifacts. Simulator
+//!   speed is measured by the repository benchmark (`perfbench/`).
 //!
 //! The caller passes the thread count (binaries take it from
 //! [`RunOptions::threads`](crate::RunOptions::threads),
@@ -23,20 +22,8 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use svc_sim::rng::SplitMix64;
-
-/// The results of one grid run plus the harness's self-measurement.
-#[derive(Debug)]
-pub struct GridOutcome<R> {
-    /// Per-job results, in grid (submission) order.
-    pub results: Vec<R>,
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Wall-clock time for the whole grid.
-    pub wall: Duration,
-}
 
 /// The per-job seed stream: job `i` gets the `i+1`-th output of a
 /// [`SplitMix64`] seeded with `grid_seed`. A pure function of
@@ -47,39 +34,29 @@ pub fn job_seeds(grid_seed: u64, n: usize) -> Vec<u64> {
 }
 
 /// Runs `run(job, derived_seed)` for every job across `threads` worker
-/// threads. Each job runs with its index-derived seed and lands in its
-/// own slot, so `results` are byte-identical for any `threads >= 1`.
+/// threads and returns the results in grid (submission) order. Each job
+/// runs with its index-derived seed and lands in its own slot, so the
+/// results are byte-identical for any `threads >= 1`.
 ///
 /// # Panics
 ///
 /// A panicking job panics the harness (via scope join), so a failing
 /// experiment still fails its binary.
-pub fn run_grid<J, R, F>(jobs: &[J], grid_seed: u64, threads: usize, run: F) -> GridOutcome<R>
+pub fn run_grid<J, R, F>(jobs: &[J], grid_seed: u64, threads: usize, run: F) -> Vec<R>
 where
     J: Sync,
     R: Send,
     F: Fn(&J, u64) -> R + Sync,
 {
-    let started = Instant::now();
     let seeds = job_seeds(grid_seed, jobs.len());
-    let (slots, workers) = fan_out(jobs.len(), threads, |i| run(&jobs[i], seeds[i]));
-    GridOutcome {
-        results: unwrap_slots(slots),
-        threads: workers,
-        wall: started.elapsed(),
-    }
+    unwrap_slots(fan_out(jobs.len(), threads, |i| run(&jobs[i], seeds[i])))
 }
 
 /// Runs `f(i)` for every `i < n` on up to `threads` scoped workers that
 /// claim indices from a shared counter (dynamic load balancing — grid
 /// cells vary widely in simulation time). Returns each index's result in
-/// index order (`None` where a worker died before storing one) and the
-/// worker count.
-fn fan_out<R: Send>(
-    n: usize,
-    threads: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> (Vec<Option<R>>, usize) {
+/// index order (`None` where a worker died before storing one).
+fn fan_out<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<Option<R>> {
     let workers = threads.clamp(1, n.max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -97,11 +74,10 @@ fn fan_out<R: Send>(
             });
         }
     });
-    let results = slots
+    slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    (results, workers)
+        .collect()
 }
 
 /// Every slot's result, in order.
@@ -179,10 +155,6 @@ pub struct FailsafeOutcome<R> {
     pub results: Vec<Option<R>>,
     /// Structured failure records, in grid order.
     pub failures: Vec<JobFailure>,
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Wall-clock time for the whole grid.
-    pub wall: Duration,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -220,9 +192,8 @@ where
     R: Send,
     F: Fn(&J, u64) -> Result<R, JobError> + Sync,
 {
-    let started = Instant::now();
     let seeds = job_seeds(grid_seed, jobs.len());
-    let (slots, workers) = fan_out(jobs.len(), threads, |i| {
+    let slots = fan_out(jobs.len(), threads, |i| {
         let mut outcome = Err((JobError::WorkerDied, 0));
         for attempt in 1..=retries.saturating_add(1) {
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| run(&jobs[i], seeds[i])));
@@ -253,12 +224,7 @@ where
             }
         }
     }
-    FailsafeOutcome {
-        results,
-        failures,
-        threads: workers,
-        wall: started.elapsed(),
-    }
+    FailsafeOutcome { results, failures }
 }
 
 // ---------------------------------------------------------------------
@@ -371,14 +337,13 @@ pub fn run_grid_resumable<J, R, F, L>(
     journal: &GridJournal,
     label: L,
     run: F,
-) -> GridOutcome<R>
+) -> Vec<R>
 where
     J: Sync,
     R: Send + svc_types::Checkpointable + Default,
     F: Fn(&J, u64) -> R + Sync,
     L: Fn(&J) -> String + Sync,
 {
-    let started = Instant::now();
     let seeds = job_seeds(grid_seed, jobs.len());
     let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs.len());
     let mut pending: Vec<usize> = Vec::new();
@@ -398,7 +363,7 @@ where
             pending.len()
         );
     }
-    let (fresh, workers) = fan_out(pending.len(), threads, |k| {
+    let fresh = fan_out(pending.len(), threads, |k| {
         let i = pending[k];
         let result = run(&jobs[i], seeds[i]);
         // Journal first, then publish: a cell is only "done" once it
@@ -412,15 +377,11 @@ where
     for (&i, result) in pending.iter().zip(fresh) {
         slots[i] = result;
     }
-    GridOutcome {
-        results: unwrap_slots(slots),
-        threads: workers,
-        wall: started.elapsed(),
-    }
+    unwrap_slots(slots)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -436,15 +397,13 @@ mod tests {
         let run = |j: &u64, seed: u64| (*j, seed, j * j);
         let serial = run_grid(&jobs, 99, 1, run);
         for threads in [2, 3, 8, 64] {
-            let parallel = run_grid(&jobs, 99, threads, run);
-            assert_eq!(serial.results, parallel.results);
+            assert_eq!(serial, run_grid(&jobs, 99, threads, run));
         }
     }
 
     #[test]
     fn empty_grid_is_fine() {
-        let out: GridOutcome<u64> = run_grid(&[] as &[u64], 0, 4, |j, _| *j);
-        assert!(out.results.is_empty());
+        assert!(run_grid(&[] as &[u64], 0, 4, |j, _| *j).is_empty());
     }
 
     /// A grid mixing healthy, panicking, and timed-out cells completes,
@@ -525,11 +484,23 @@ mod tests {
         assert_eq!(out.failures[0].attempts, 3);
     }
 
-    fn journal_scratch(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("svc-grid-journal-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A test's scratch directory, `svc-<name>-<pid>` under the system
+    /// temp dir: empty when the test starts, removed when it ends, pass
+    /// or fail.
+    pub(crate) struct Scratch(pub(crate) std::path::PathBuf);
+
+    impl Scratch {
+        pub(crate) fn new(name: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("svc-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     /// An interrupted grid (journal holding a strict subset of cells)
@@ -537,7 +508,8 @@ mod tests {
     /// and the results match an uninterrupted run exactly.
     #[test]
     fn journaled_grid_resumes_from_completed_cells() {
-        let dir = journal_scratch("resume");
+        let scratch = Scratch::new("grid-journal-resume");
+        let dir = &scratch.0;
         let jobs: Vec<u64> = (0..9).collect();
         let label = |j: &u64| format!("job-{j}");
         let ran = AtomicUsize::new(0);
@@ -546,11 +518,11 @@ mod tests {
             j.wrapping_mul(31) ^ seed
         };
 
-        let journal = GridJournal::open(&dir, 42).expect("open journal");
+        let journal = GridJournal::open(dir, 42).expect("open journal");
         let full = run_grid_resumable(&jobs, 42, 4, &journal, label, run);
         assert_eq!(ran.swap(0, Ordering::Relaxed), 9);
         let plain = run_grid(&jobs, 42, 1, run);
-        assert_eq!(full.results, plain.results, "journal changed the results");
+        assert_eq!(full, plain, "journal changed the results");
         ran.store(0, Ordering::Relaxed);
 
         // Simulate the interruption: drop three cells from the journal.
@@ -559,13 +531,13 @@ mod tests {
         }
         let resumed = run_grid_resumable(&jobs, 42, 4, &journal, label, run);
         assert_eq!(ran.load(Ordering::Relaxed), 3, "only missing cells re-run");
-        assert_eq!(resumed.results, full.results);
+        assert_eq!(resumed, full);
 
         // A fully-journaled grid re-runs nothing at all.
         ran.store(0, Ordering::Relaxed);
         let warm = run_grid_resumable(&jobs, 42, 4, &journal, label, run);
         assert_eq!(ran.load(Ordering::Relaxed), 0);
-        assert_eq!(warm.results, full.results);
+        assert_eq!(warm, full);
     }
 
     /// Torn cell files, foreign grid seeds and mismatched labels are
@@ -573,10 +545,11 @@ mod tests {
     /// poisoning the grid with stale results.
     #[test]
     fn journal_rejects_torn_and_foreign_cells() {
-        let dir = journal_scratch("reject");
+        let scratch = Scratch::new("grid-journal-reject");
+        let dir = &scratch.0;
         let jobs: Vec<u64> = (0..4).collect();
         let run = |j: &u64, seed: u64| *j ^ seed;
-        let journal = GridJournal::open(&dir, 7).expect("open journal");
+        let journal = GridJournal::open(dir, 7).expect("open journal");
         let label = |j: &u64| format!("job-{j}");
         let full = run_grid_resumable(&jobs, 7, 2, &journal, label, run);
 
@@ -589,7 +562,7 @@ mod tests {
             .is_none());
 
         // A journal opened under a different grid seed rejects cell 1.
-        let foreign = GridJournal::open(&dir, 8).expect("open foreign");
+        let foreign = GridJournal::open(dir, 8).expect("open foreign");
         assert!(foreign
             .load::<u64>(1, job_seeds(7, 4)[1], "job-1")
             .is_none());
@@ -602,6 +575,6 @@ mod tests {
         // And the grid still heals: the torn cell re-runs to the same
         // result.
         let healed = run_grid_resumable(&jobs, 7, 2, &journal, label, run);
-        assert_eq!(healed.results, full.results);
+        assert_eq!(healed, full);
     }
 }

@@ -1,6 +1,6 @@
 //! The experiment harness: one function per metric the paper reports,
 //! shared by the experiment binaries (`paper`, the ablations, the
-//! scaling studies) and the Criterion benches.
+//! scaling studies), the `regress` gate and `svc-sim`.
 //!
 //! Every experiment builds a memory system ([`MemoryKind`]), runs a
 //! [`Spec95`] workload (or a kernel) on the multiscalar engine for a
@@ -460,14 +460,15 @@ fn grid_cell_label(job: &GridJob, budget: u64) -> String {
 /// Runs a standard experiment grid of `budget`-instruction cells, through
 /// the cell journal when [`RunOptions::grid_journal`] names a directory
 /// (separate per-grid subdirectories keyed by grid seed and shape, so one
-/// journal directory serves many grids).
+/// journal directory serves many grids). Returns the cells' results in
+/// grid order.
 pub fn run_journaled_grid(
     jobs: &[GridJob],
     grid_seed: u64,
     budget: u64,
     opts: &RunOptions,
     run: impl Fn(&GridJob, u64) -> ExperimentResult + Sync,
-) -> harness::GridOutcome<ExperimentResult> {
+) -> Vec<ExperimentResult> {
     if let Some(dir) = &opts.grid_journal {
         let sub = dir.join(format!("grid-{grid_seed:016x}-{:03}", jobs.len()));
         match harness::GridJournal::open(sub, grid_seed) {
@@ -490,11 +491,7 @@ pub fn run_journaled_grid(
 
 /// Runs a grid in parallel with every cell pinned to [`PAPER_SEED`]
 /// (the paper-artifact path; see [`PAPER_SEED`] for why).
-pub fn run_paper_grid(
-    jobs: &[GridJob],
-    budget: u64,
-    opts: &RunOptions,
-) -> harness::GridOutcome<ExperimentResult> {
+pub fn run_paper_grid(jobs: &[GridJob], budget: u64, opts: &RunOptions) -> Vec<ExperimentResult> {
     run_journaled_grid(jobs, PAPER_SEED, budget, opts, |job, _derived| {
         run_job(job, budget, PAPER_SEED, opts)
     })
@@ -507,7 +504,7 @@ pub fn run_derived_grid(
     grid_seed: u64,
     budget: u64,
     opts: &RunOptions,
-) -> harness::GridOutcome<ExperimentResult> {
+) -> Vec<ExperimentResult> {
     run_journaled_grid(jobs, grid_seed, budget, opts, |job, seed| {
         run_job(job, budget, seed, opts)
     })
@@ -568,34 +565,6 @@ pub fn write_paper_docs(
         report::write_experiment(&opts.results_dir, &format!("{name}.profile"), &doc)?;
     }
     Ok(())
-}
-
-/// Records a finished grid's wall-clock self-measurement as the `name`
-/// entry of the [`RunOptions::snapshot`] file.
-pub fn record_grid(
-    name: &str,
-    outcome: &harness::GridOutcome<ExperimentResult>,
-    opts: &RunOptions,
-) -> std::io::Result<()> {
-    let m = report::SelfMeasurement::from_reports(
-        outcome.results.iter().map(|r| &r.report),
-        outcome.wall.as_secs_f64(),
-        outcome.threads,
-    );
-    report::record_snapshot(&opts.snapshot, name, m)
-}
-
-/// Writes both JSON artifacts for a finished paper-seeded grid: its
-/// documents ([`write_paper_docs`]) and its snapshot entry
-/// ([`record_grid`]).
-pub fn publish_paper_grid(
-    name: &str,
-    budget: u64,
-    outcome: &harness::GridOutcome<ExperimentResult>,
-    opts: &RunOptions,
-) -> std::io::Result<()> {
-    write_paper_docs(name, budget, &outcome.results, opts)?;
-    record_grid(name, outcome, opts)
 }
 
 #[cfg(test)]
@@ -673,21 +642,19 @@ mod tests {
     /// another: the rerun equals a plain run at the new budget.
     #[test]
     fn journaled_grid_reruns_cells_of_another_budget() {
-        let dir = std::env::temp_dir().join(format!("svc-grid-budget-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let scratch = harness::tests::Scratch::new("grid-budget");
         let jobs = cross(&[Spec95::Ijpeg], &[MemoryKind::Svc { kb_per_cache: 8 }]);
         let with_journal = RunOptions {
-            grid_journal: Some(dir.clone()),
+            grid_journal: Some(scratch.0.clone()),
             ..RunOptions::default()
         };
         let journaled = |budget| run_paper_grid(&jobs, budget, &with_journal);
         let first = journaled(3_000);
         let rerun = journaled(5_000);
         let plain = run_paper_grid(&jobs, 5_000, &RunOptions::default());
-        assert_eq!(rerun.results, plain.results);
-        assert_ne!(rerun.results, first.results);
+        assert_eq!(rerun, plain);
+        assert_ne!(rerun, first);
         // Same budget again: every cell comes from the journal.
-        assert_eq!(journaled(5_000).results, plain.results);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(journaled(5_000), plain);
     }
 }

@@ -61,8 +61,6 @@ pub struct RunOptions {
     pub grid_journal: Option<PathBuf>,
     /// `SVC_RESULTS_DIR`: where `results/*.json` documents go.
     pub results_dir: PathBuf,
-    /// `SVC_BENCH_SNAPSHOT`: the perf snapshot file.
-    pub snapshot: PathBuf,
     /// Step every cycle instead of jumping idle ones: the fast-forward
     /// differential test's reference. No variable sets it.
     pub step_every_cycle: bool,
@@ -129,8 +127,6 @@ impl RunOptions {
             },
             grid_journal: knob(l, "SVC_GRID_JOURNAL", path)?,
             results_dir: knob(l, "SVC_RESULTS_DIR", path)?.unwrap_or_else(|| "results".into()),
-            snapshot: knob(l, "SVC_BENCH_SNAPSHOT", path)?
-                .unwrap_or_else(|| "BENCH_experiments.json".into()),
             step_every_cycle: false,
         })
     }
@@ -184,7 +180,6 @@ mod tests {
         assert!(o.faults.is_empty());
         assert_eq!(o.watchdog, 0);
         assert_eq!(o.results_dir, PathBuf::from("results"));
-        assert_eq!(o.snapshot, PathBuf::from("BENCH_experiments.json"));
         assert!(!o.step_every_cycle);
         assert_eq!(o.attachment_values(), [None, None, None, None, None]);
     }
@@ -199,7 +194,6 @@ mod tests {
             "SVC_TRACE_OUT",
             "SVC_GRID_JOURNAL",
             "SVC_RESULTS_DIR",
-            "SVC_BENCH_SNAPSHOT",
         ]
         .into_iter()
         .chain(ATTACHMENT_KNOBS)
@@ -223,7 +217,6 @@ mod tests {
             ("SVC_WATCHDOG", "1"),
             ("SVC_GRID_JOURNAL", "/tmp/j"),
             ("SVC_RESULTS_DIR", "/tmp/r"),
-            ("SVC_BENCH_SNAPSHOT", "/tmp/s.json"),
         ])
         .unwrap();
         assert_eq!(o.budget, Some(60_000));
@@ -237,7 +230,6 @@ mod tests {
         assert_eq!(o.watchdog, 256, "1 selects the default cadence");
         assert_eq!(o.grid_journal, Some(PathBuf::from("/tmp/j")));
         assert_eq!(o.results_dir, PathBuf::from("/tmp/r"));
-        assert_eq!(o.snapshot, PathBuf::from("/tmp/s.json"));
 
         // `0` switches the profiler and the watchdog off; other
         // cadences are taken as given.

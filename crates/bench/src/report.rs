@@ -7,15 +7,11 @@
 //! recursive-descent parser so the `regress` gate can read baselines
 //! back.
 //!
-//! Two document schemas:
-//!
-//! * [`SCHEMA_EXPERIMENT`] — `results/<name>.json`, one per experiment
-//!   binary: the grid parameters plus every run's metrics,
-//!   [`MemStats`], and engine report. Deterministic: no wall-clock data.
-//! * [`SCHEMA_SNAPSHOT`] — `BENCH_experiments.json`: per-experiment
-//!   harness self-measurement (wall seconds, simulated cycles/sec,
-//!   committed instrs/sec, thread count), merged read-modify-write so
-//!   each binary updates its own entry.
+//! The main schema, [`SCHEMA_EXPERIMENT`], is that of
+//! `results/<name>.json`: the grid parameters plus every run's metrics,
+//! [`MemStats`], and engine report. Deterministic: no wall-clock data.
+//! The other schema tags below name the profile, analysis and soak
+//! documents.
 
 use std::fmt::Write as _;
 use std::io;
@@ -35,17 +31,6 @@ pub const SCHEMA_EXPERIMENT: &str = "svc-experiments/v1";
 /// (emitted only when a grid had failed cells; fully-healthy grids keep
 /// emitting byte-identical [`SCHEMA_EXPERIMENT`] documents).
 pub const SCHEMA_EXPERIMENT_V2: &str = "svc-experiments/v2";
-/// Schema tag of the `BENCH_experiments.json` perf snapshot. The v2
-/// document keeps the v1 `experiments` section and adds two optional
-/// sections maintained by the `bench` trajectory driver: `previous`
-/// (the experiments section as it stood before the last
-/// [`rotate_snapshot`]) and `speedup` (per-experiment and aggregate
-/// simulated-cycles-per-second ratios of `experiments` over
-/// `previous`). v1 documents parse fine: both sections are absent. v3
-/// entries add `host_cores`; entries written while the simulator had an
-/// intra-run parallel engine also carry its lane count, which readers
-/// ignore.
-pub const SCHEMA_SNAPSHOT: &str = "svc-bench-snapshot/v3";
 /// Schema tag of `results/<name>.profile.json` cycle-accounting
 /// documents (emitted only when `SVC_PROFILE` is set).
 pub const SCHEMA_PROFILE: &str = "svc-profile/v1";
@@ -771,182 +756,6 @@ pub fn write_experiment(dir: &Path, name: &str, doc: &Json) -> io::Result<PathBu
     Ok(path)
 }
 
-/// The harness's per-experiment self-measurement (the perf snapshot
-/// entry). Wall-clock data lives only here, never in the deterministic
-/// experiment documents.
-#[derive(Debug, Clone, Copy)]
-pub struct SelfMeasurement {
-    /// Wall-clock seconds for the whole grid.
-    pub wall_s: f64,
-    /// Harness worker threads used (inter-run parallelism).
-    pub threads: usize,
-    /// Logical cores on the measuring host.
-    pub host_cores: usize,
-    /// Grid cells executed.
-    pub jobs: usize,
-    /// Total simulated cycles across the grid.
-    pub sim_cycles: u64,
-    /// Total committed instructions across the grid.
-    pub committed_instrs: u64,
-}
-
-impl SelfMeasurement {
-    /// Aggregates a grid's engine reports plus the harness timing.
-    /// `host_cores` comes from the host: the measurement describes the
-    /// conditions the wall clock ran under.
-    pub fn from_reports<'a>(
-        reports: impl Iterator<Item = &'a RunReport>,
-        wall_s: f64,
-        threads: usize,
-    ) -> SelfMeasurement {
-        let mut jobs = 0;
-        let mut sim_cycles = 0;
-        let mut committed_instrs = 0;
-        for r in reports {
-            jobs += 1;
-            sim_cycles += r.cycles;
-            committed_instrs += r.committed_instrs;
-        }
-        SelfMeasurement {
-            wall_s,
-            threads,
-            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            jobs,
-            sim_cycles,
-            committed_instrs,
-        }
-    }
-
-    /// Simulated cycles per wall second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.sim_cycles as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Committed instructions per wall second.
-    pub fn instrs_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.committed_instrs as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(self) -> Json {
-        Json::obj()
-            .set("wall_s", self.wall_s.into())
-            .set("threads", self.threads.into())
-            .set("host_cores", self.host_cores.into())
-            .set("jobs", self.jobs.into())
-            .set("sim_cycles", self.sim_cycles.into())
-            .set("committed_instrs", self.committed_instrs.into())
-            .set("sim_cycles_per_sec", self.cycles_per_sec().into())
-            .set("committed_instrs_per_sec", self.instrs_per_sec().into())
-    }
-}
-
-/// Merges one experiment's self-measurement into the perf snapshot at
-/// `path` (read-modify-write keyed by experiment name, so binaries can
-/// run in any order or subset).
-pub fn record_snapshot(path: &Path, experiment: &str, m: SelfMeasurement) -> io::Result<()> {
-    let existing = match std::fs::read_to_string(path) {
-        Ok(text) => parse(&text).ok(),
-        Err(_) => None,
-    };
-    let experiments = existing
-        .as_ref()
-        .and_then(|doc| doc.get("experiments"))
-        .cloned()
-        .unwrap_or_else(Json::obj)
-        .set(experiment, m.to_json());
-    let previous = existing.as_ref().and_then(|doc| doc.get("previous"));
-    let mut doc = Json::obj()
-        .set("schema", SCHEMA_SNAPSHOT.into())
-        .set("experiments", experiments.clone());
-    if let Some(prev) = previous {
-        doc = doc.set("previous", prev.clone());
-        if let Some(speedup) = speedup_json(&experiments, prev) {
-            doc = doc.set("speedup", speedup);
-        }
-    }
-    write_atomic(path, doc.render().as_bytes())
-}
-
-/// Rotates the perf snapshot at `path`: the current `experiments`
-/// section becomes `previous`, ready for a fresh sweep to fill
-/// `experiments` and let [`record_snapshot`] compute `speedup` against
-/// the rotated baseline. A missing or empty snapshot is left untouched.
-pub fn rotate_snapshot(path: &Path) -> io::Result<()> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Ok(doc) = parse(&text) else {
-        return Ok(());
-    };
-    let Some(experiments) = doc.get("experiments") else {
-        return Ok(());
-    };
-    if experiments.as_obj().is_none_or(|o| o.is_empty()) {
-        return Ok(());
-    }
-    let rotated = Json::obj()
-        .set("schema", SCHEMA_SNAPSHOT.into())
-        .set("experiments", Json::obj())
-        .set("previous", experiments.clone());
-    write_atomic(path, rotated.render().as_bytes())
-}
-
-/// Extracts `(wall_s, sim_cycles, sim_cycles_per_sec)` from one
-/// snapshot experiment entry.
-fn snapshot_entry(entries: &Json, name: &str) -> Option<(f64, f64, f64)> {
-    let e = entries.get(name)?;
-    Some((
-        e.get("wall_s")?.as_f64()?,
-        e.get("sim_cycles")?.as_f64()?,
-        e.get("sim_cycles_per_sec")?.as_f64()?,
-    ))
-}
-
-/// The `speedup` section: per-experiment `sim_cycles_per_sec` ratios of
-/// `current` over `previous` for every experiment present in both, plus
-/// the aggregate ratio of total simulated cycles per total wall second
-/// over the common set. `None` when the sections share no experiments.
-fn speedup_json(current: &Json, previous: &Json) -> Option<Json> {
-    let mut per = Json::obj();
-    let mut common = 0usize;
-    let (mut cur_cycles, mut cur_wall) = (0.0, 0.0);
-    let (mut prev_cycles, mut prev_wall) = (0.0, 0.0);
-    for (name, _) in current.as_obj()? {
-        let Some((cw, cc, ccps)) = snapshot_entry(current, name) else {
-            continue;
-        };
-        let Some((pw, pc, pcps)) = snapshot_entry(previous, name) else {
-            continue;
-        };
-        if pcps <= 0.0 {
-            continue;
-        }
-        per = per.set(name, (ccps / pcps).into());
-        common += 1;
-        cur_cycles += cc;
-        cur_wall += cw;
-        prev_cycles += pc;
-        prev_wall += pw;
-    }
-    if common == 0 || cur_wall <= 0.0 || prev_wall <= 0.0 || prev_cycles <= 0.0 {
-        return None;
-    }
-    let aggregate = (cur_cycles / cur_wall) / (prev_cycles / prev_wall);
-    Some(
-        Json::obj()
-            .set("aggregate", aggregate.into())
-            .set("per_experiment", per),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,167 +850,5 @@ mod tests {
         assert_eq!(fj.get("attempts").and_then(Json::as_f64), Some(2.0));
         // Round-trips through the parser like any other document.
         assert_eq!(parse(&degraded.render()).expect("parses"), degraded);
-    }
-
-    #[test]
-    fn rotate_then_record_computes_speedup() {
-        let dir = std::env::temp_dir().join("svc_report_rotate_test");
-        std::fs::create_dir_all(&dir).expect("tmp");
-        let path = dir.join("BENCH_experiments.json");
-        let _ = std::fs::remove_file(&path);
-
-        // Rotating a missing snapshot is a no-op.
-        rotate_snapshot(&path).expect("rotate missing");
-        assert!(!path.exists());
-
-        let slow = SelfMeasurement {
-            wall_s: 2.0,
-            threads: 1,
-            host_cores: 8,
-            jobs: 2,
-            sim_cycles: 1000,
-            committed_instrs: 500,
-        };
-        record_snapshot(&path, "paper", slow).expect("write");
-        record_snapshot(&path, "motivation", slow).expect("write");
-
-        rotate_snapshot(&path).expect("rotate");
-        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-        assert_eq!(
-            doc.get("experiments")
-                .and_then(Json::as_obj)
-                .map(<[_]>::len),
-            Some(0)
-        );
-        assert!(doc.get("previous").and_then(|p| p.get("paper")).is_some());
-
-        // A 2x-faster rerun of one experiment: per-experiment and
-        // aggregate speedups are both 2 (motivation has no current entry yet,
-        // so it drops out of the common set).
-        let fast = SelfMeasurement {
-            wall_s: 1.0,
-            ..slow
-        };
-        record_snapshot(&path, "paper", fast).expect("write");
-        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-        let speedup = doc.get("speedup").expect("speedup");
-        assert_eq!(speedup.get("aggregate").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(
-            speedup
-                .get("per_experiment")
-                .and_then(|p| p.get("paper"))
-                .and_then(Json::as_f64),
-            Some(2.0)
-        );
-        assert!(speedup
-            .get("per_experiment")
-            .and_then(|p| p.get("motivation"))
-            .is_none());
-
-        // Rotating again promotes the fresh sweep and drops speedup.
-        rotate_snapshot(&path).expect("rotate");
-        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-        assert!(doc.get("speedup").is_none());
-        assert_eq!(
-            doc.get("previous")
-                .and_then(|p| p.get("paper"))
-                .and_then(|t| t.get("wall_s"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-    }
-
-    #[test]
-    fn v2_snapshot_rotates_and_speeds_up_against_v3() {
-        // Committed snapshots from older writers: a v2 document (no
-        // host_cores, old schema tag) and an early v3 document whose
-        // entries still carry the retired engine lane count, as the
-        // committed BENCH_experiments.json does.
-        let dir = std::env::temp_dir().join("svc_report_v2_compat_test");
-        std::fs::create_dir_all(&dir).expect("tmp");
-        let path = dir.join("BENCH_experiments.json");
-        let v2_entry = Json::obj()
-            .set("wall_s", 2.0.into())
-            .set("threads", 1.0.into())
-            .set("jobs", 2.0.into())
-            .set("sim_cycles", 1000.0.into())
-            .set("committed_instrs", 500.0.into())
-            .set("sim_cycles_per_sec", 500.0.into())
-            .set("committed_instrs_per_sec", 250.0.into());
-        let v3_entry = v2_entry
-            .clone()
-            .set("engine_threads", 2.0.into())
-            .set("host_cores", 1.0.into());
-        let v2 = Json::obj()
-            .set("schema", "svc-bench-snapshot/v2".into())
-            .set("experiments", Json::obj().set("paper", v2_entry));
-        let v3 = Json::obj()
-            .set("schema", SCHEMA_SNAPSHOT.into())
-            .set("experiments", Json::obj().set("paper", v3_entry.clone()))
-            .set("previous", Json::obj().set("paper", v3_entry));
-        let fast = SelfMeasurement {
-            wall_s: 1.0,
-            threads: 1,
-            host_cores: 8,
-            jobs: 2,
-            sim_cycles: 1000,
-            committed_instrs: 500,
-        };
-        for seed in [v2, v3] {
-            std::fs::write(&path, seed.render()).expect("seed old snapshot");
-
-            // Rotation promotes the old entries to `previous` unchanged
-            // and writes the current document tag.
-            rotate_snapshot(&path).expect("rotate old snapshot");
-            let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-            assert_eq!(
-                doc.get("schema").and_then(Json::as_str),
-                Some(SCHEMA_SNAPSHOT)
-            );
-            assert_eq!(
-                doc.get("previous").and_then(|p| p.get("paper")),
-                seed.get("experiments").and_then(|e| e.get("paper"))
-            );
-
-            // A fresh measurement computes its speedup against the old
-            // baseline (readers only touch the fields every schema
-            // shares) and writes no lane count.
-            record_snapshot(&path, "paper", fast).expect("record v3");
-            let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-            let entry = doc.get("experiments").and_then(|e| e.get("paper")).unwrap();
-            assert!(entry.get("engine_threads").is_none());
-            assert_eq!(entry.get("host_cores").and_then(Json::as_f64), Some(8.0));
-            assert_eq!(
-                doc.get("speedup")
-                    .and_then(|s| s.get("aggregate"))
-                    .and_then(Json::as_f64),
-                Some(2.0)
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_merge_keeps_other_entries() {
-        let dir = std::env::temp_dir().join("svc_report_test");
-        std::fs::create_dir_all(&dir).expect("tmp");
-        let path = dir.join("BENCH_experiments.json");
-        let _ = std::fs::remove_file(&path);
-        let m = SelfMeasurement {
-            wall_s: 1.0,
-            threads: 4,
-            host_cores: 8,
-            jobs: 2,
-            sim_cycles: 1000,
-            committed_instrs: 500,
-        };
-        record_snapshot(&path, "paper", m).expect("write");
-        record_snapshot(&path, "motivation", m).expect("write");
-        let doc = parse(&std::fs::read_to_string(&path).expect("read")).expect("parse");
-        let exps = doc.get("experiments").expect("experiments");
-        assert!(exps.get("paper").is_some() && exps.get("motivation").is_some());
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(SCHEMA_SNAPSHOT)
-        );
     }
 }

@@ -23,11 +23,10 @@ fn same_grid_seed_is_byte_identical_at_1_2_and_8_threads() {
     let seeds = job_seeds(GRID_SEED, jobs.len());
     let opts = RunOptions::default();
     let render = |threads: usize| {
-        let outcome = run_grid(&jobs, GRID_SEED, threads, |job, seed| {
+        let results = run_grid(&jobs, GRID_SEED, threads, |job, seed| {
             run_spec95_with(job.bench, job.memory, BUDGET, seed, &opts)
         });
-        let runs = outcome
-            .results
+        let runs = results
             .iter()
             .zip(&seeds)
             .map(|(r, &s)| experiment_result_json(r, s))

@@ -41,10 +41,8 @@ fn stepping(step: bool, opts: &RunOptions) -> RunOptions {
 /// Renders the pinned grid as a full `svc-experiments/v1` document.
 fn grid_doc(opts: &RunOptions) -> String {
     let jobs = cross(&BENCHES, &MEMORIES);
-    let outcome = run_derived_grid(&jobs, GRID_SEED, BUDGET, opts);
     let seeds = job_seeds(GRID_SEED, jobs.len());
-    let runs = outcome
-        .results
+    let runs = run_derived_grid(&jobs, GRID_SEED, BUDGET, opts)
         .iter()
         .zip(&seeds)
         .map(|(r, &s)| report::experiment_result_json(r, s))

@@ -10,7 +10,6 @@ fn malformed_budget_is_a_usage_error_before_any_run() {
     let out = Command::new(env!("CARGO_BIN_EXE_motivation"))
         .env("SVC_EXPERIMENT_BUDGET", "60k")
         .env("SVC_RESULTS_DIR", &dir)
-        .env("SVC_BENCH_SNAPSHOT", dir.join("bench.json"))
         .output()
         .expect("run motivation");
     assert_eq!(out.status.code(), Some(2), "exit code");

@@ -40,11 +40,10 @@ fn profile_doc_at(threads: usize) -> String {
     );
     let seeds = job_seeds(GRID_SEED, jobs.len());
     let opts = profiling();
-    let outcome = run_grid(&jobs, GRID_SEED, threads, |job, seed| {
+    let results = run_grid(&jobs, GRID_SEED, threads, |job, seed| {
         run_spec95_with(job.bench, job.memory, BUDGET, seed, &opts)
     });
-    let runs = outcome
-        .results
+    let runs = results
         .iter()
         .zip(&seeds)
         .map(|(r, &s)| {

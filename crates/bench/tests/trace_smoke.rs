@@ -87,7 +87,6 @@ fn traced_jsonl_is_byte_identical_across_thread_counts() {
             let (_, tracer) = traced_run(seed ^ salt);
             render_jsonl(&tracer.records())
         })
-        .results
     };
     let serial = render(1);
     assert!(serial.iter().all(|s| !s.is_empty()));

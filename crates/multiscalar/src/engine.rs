@@ -443,11 +443,6 @@ impl<M: VersionedMemory> Engine<M> {
         self.epoch_sink = Some(sink);
     }
 
-    /// Detaches the epoch sink, if one was attached.
-    pub fn take_epoch_sink(&mut self) -> Option<Box<dyn EpochSink>> {
-        self.epoch_sink.take()
-    }
-
     /// Invariant violations the watchdog has collected so far.
     pub fn violations(&self) -> &[InvariantViolation] {
         &self.violations

@@ -237,18 +237,6 @@ impl ProfileReport {
     pub fn conservation_ok(&self) -> bool {
         self.attributed() == self.expected()
     }
-
-    /// One bucket's total over all PUs.
-    pub fn bucket_total(&self, bucket: Bucket) -> u64 {
-        self.totals()[bucket as usize]
-    }
-
-    /// The sampling epoch `cycle` falls into (`0` when sampling was off)
-    /// — the join key offline analyses use to bin trace events against
-    /// the interval time series.
-    pub fn epoch_of(&self, cycle: u64) -> u64 {
-        cycle.checked_div(self.epoch).unwrap_or(0)
-    }
 }
 
 /// A queued span of known future blocking on one PU.

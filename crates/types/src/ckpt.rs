@@ -121,11 +121,6 @@ impl CkptWriter {
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
-
-    /// Serializes any [`Checkpointable`] value.
-    pub fn save<T: Checkpointable + ?Sized>(&mut self, v: &T) {
-        v.save_state(self);
-    }
 }
 
 /// Deserializer for checkpoint payloads produced by [`CkptWriter`].
@@ -201,11 +196,6 @@ impl<'a> CkptReader<'a> {
     pub fn take_str(&mut self) -> Result<String, CkptError> {
         String::from_utf8(self.take_bytes()?.to_vec())
             .map_err(|_| CkptError::corrupt("invalid UTF-8 in string"))
-    }
-
-    /// Restores any [`Checkpointable`] value in place.
-    pub fn restore_into<T: Checkpointable + ?Sized>(&mut self, v: &mut T) -> Result<(), CkptError> {
-        v.restore_state(self)
     }
 
     /// Reads a default-constructed [`Checkpointable`] value.

@@ -13,6 +13,9 @@ use std::time::{Duration, Instant};
 
 use svc_repro::bench::report::parse;
 
+mod common;
+use common::Scratch;
+
 const BIN: &str = env!("CARGO_BIN_EXE_svc-sim");
 
 extern "C" {
@@ -27,12 +30,6 @@ const TICKS: &str = "10";
 const SEED: &str = "11";
 const SLICE: &str = "4000";
 const STORM: &str = "period=4,duration=2,rate=0.05";
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svc-crash-recover-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
-}
 
 /// Runs the uninterrupted 10-tick reference soak and returns the
 /// snapshot bytes.
@@ -82,7 +79,6 @@ fn count_checkpoints(ring: &Path) -> usize {
 /// Spawns an *unbounded* checkpointing soak, waits until the ring holds
 /// at least `kill_after` checkpoints, then SIGKILLs it mid-flight.
 fn killed_soak(ring: &Path, out: &Path, kill_after: usize) {
-    let _ = std::fs::remove_dir_all(ring);
     std::fs::create_dir_all(ring).expect("ring dir");
     let mut child = Command::new(BIN)
         .args([
@@ -140,15 +136,20 @@ fn resume_soak(ring: &Path, out: &Path, threads: &str) -> Vec<u8> {
 
 #[test]
 fn sigkilled_soaks_resume_byte_identical_at_varied_kill_points() {
-    let reference = reference_soak(&scratch("ref.json"));
+    let scratch = Scratch::new("crash-recover-kill-points");
+    let reference = reference_soak(&scratch.path("ref.json"));
 
     // Kill after 2 checkpoints (quiet phase), after 5 (inside the first
     // fault storm), and after 8 (post-storm) — the resumed snapshot
     // must match the never-killed reference bit-for-bit every time.
     for (i, kill_after) in [2usize, 5, 8].into_iter().enumerate() {
-        let ring = scratch(&format!("ring-{i}"));
-        killed_soak(&ring, &scratch(&format!("killed-{i}.json")), kill_after);
-        let resumed = resume_soak(&ring, &scratch(&format!("resumed-{i}.json")), "1");
+        let ring = scratch.path(&format!("ring-{i}"));
+        killed_soak(
+            &ring,
+            &scratch.path(&format!("killed-{i}.json")),
+            kill_after,
+        );
+        let resumed = resume_soak(&ring, &scratch.path(&format!("resumed-{i}.json")), "1");
         assert_eq!(
             resumed, reference,
             "kill after {kill_after} checkpoints: resumed snapshot diverged"
@@ -158,11 +159,12 @@ fn sigkilled_soaks_resume_byte_identical_at_varied_kill_points() {
 
 #[test]
 fn resume_is_invariant_under_harness_thread_count() {
-    let reference = reference_soak(&scratch("t-ref.json"));
-    let ring = scratch("t-ring");
-    killed_soak(&ring, &scratch("t-killed.json"), 3);
+    let scratch = Scratch::new("crash-recover-threads");
+    let reference = reference_soak(&scratch.path("t-ref.json"));
+    let ring = scratch.path("t-ring");
+    killed_soak(&ring, &scratch.path("t-killed.json"), 3);
     for threads in ["1", "2", "8"] {
-        let resumed = resume_soak(&ring, &scratch("t-resumed.json"), threads);
+        let resumed = resume_soak(&ring, &scratch.path("t-resumed.json"), threads);
         assert_eq!(
             resumed, reference,
             "resume with SVC_EXPERIMENT_THREADS={threads} diverged"
@@ -172,9 +174,10 @@ fn resume_is_invariant_under_harness_thread_count() {
 
 #[test]
 fn torn_newest_checkpoint_is_skipped_for_the_previous_one() {
-    let reference = reference_soak(&scratch("torn-ref.json"));
-    let ring = scratch("torn-ring");
-    killed_soak(&ring, &scratch("torn-killed.json"), 4);
+    let scratch = Scratch::new("crash-recover-torn");
+    let reference = reference_soak(&scratch.path("torn-ref.json"));
+    let ring = scratch.path("torn-ring");
+    killed_soak(&ring, &scratch.path("torn-killed.json"), 4);
 
     // Tear the newest checkpoint mid-"write": keep the magic so it
     // looks like a checkpoint, but cut the payload so the trailing
@@ -191,7 +194,7 @@ fn torn_newest_checkpoint_is_skipped_for_the_previous_one() {
     assert!(bytes.len() > 24, "checkpoint implausibly small");
     std::fs::write(&newest, &bytes[..bytes.len() / 2]).expect("truncate newest");
 
-    let resumed = resume_soak(&ring, &scratch("torn-resumed.json"), "1");
+    let resumed = resume_soak(&ring, &scratch.path("torn-resumed.json"), "1");
     assert_eq!(
         resumed, reference,
         "resume after torn newest checkpoint diverged"
@@ -200,8 +203,8 @@ fn torn_newest_checkpoint_is_skipped_for_the_previous_one() {
 
 #[test]
 fn every_checkpoint_is_garbage_fails_typed() {
-    let ring = scratch("garbage-ring");
-    let _ = std::fs::remove_dir_all(&ring);
+    let scratch = Scratch::new("crash-recover-garbage");
+    let ring = scratch.path("garbage-ring");
     std::fs::create_dir_all(&ring).expect("ring dir");
     for i in 0..3 {
         std::fs::write(ring.join(format!("ckpt-{i:06}.svc")), b"not a checkpoint")
@@ -226,10 +229,11 @@ fn every_checkpoint_is_garbage_fails_typed() {
 
 #[test]
 fn unwritable_destinations_fail_typed_at_startup() {
+    let scratch = Scratch::new("crash-recover-unwritable");
     // A plain file where a directory is needed: both `--out` and
     // `--checkpoint-dir` must be probed *before* the soak starts and
     // fail with the typed I/O exit code, not a mid-soak panic.
-    let blocker = scratch("blocker-file");
+    let blocker = scratch.path("blocker-file");
     std::fs::write(&blocker, b"x").expect("write blocker");
 
     let out = Command::new(BIN)
@@ -253,11 +257,10 @@ fn unwritable_destinations_fail_typed_at_startup() {
 
 #[test]
 fn healthz_reports_checkpoint_freshness() {
+    let scratch = Scratch::new("crash-recover-healthz");
     use std::io::{Read, Write};
-    let addr_file = scratch("hz.addr");
-    let ring = scratch("hz-ring");
-    let _ = std::fs::remove_file(&addr_file);
-    let _ = std::fs::remove_dir_all(&ring);
+    let addr_file = scratch.path("hz.addr");
+    let ring = scratch.path("hz-ring");
     let mut child = Command::new(BIN)
         .args([
             "serve",
@@ -273,7 +276,7 @@ fn healthz_reports_checkpoint_freshness() {
         .arg("--addr-file")
         .arg(&addr_file)
         .arg("--out")
-        .arg(scratch("hz.json"))
+        .arg(scratch.path("hz.json"))
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -342,6 +345,7 @@ fn normalized(text: &[u8]) -> String {
 
 #[test]
 fn sigkilled_run_resumes_byte_identical() {
+    let scratch = Scratch::new("crash-recover-run");
     let args = [
         "run", "--bench", "gcc", "--budget", "400000", "--seed", "7", "--json",
     ];
@@ -352,8 +356,7 @@ fn sigkilled_run_resumes_byte_identical() {
         .expect("reference run");
     assert!(reference.status.success(), "reference run exited nonzero");
 
-    let ckpt = scratch("run.svc");
-    let _ = std::fs::remove_file(&ckpt);
+    let ckpt = scratch.path("run.svc");
     let mut child = Command::new(BIN)
         .args(args)
         .arg("--checkpoint-out")
@@ -423,6 +426,7 @@ fn sigkilled_run_resumes_byte_identical() {
 /// none of those knobs or different values for each.
 #[test]
 fn checkpoint_header_decides_resumed_attachments() {
+    let scratch = Scratch::new("crash-recover-attached");
     let knobs = [
         "SVC_PROFILE",
         "SVC_PROFILE_EPOCH",
@@ -453,18 +457,17 @@ fn checkpoint_header_decides_resumed_attachments() {
     let run = [
         "run", "--bench", "gcc", "--budget", "30000", "--seed", "5", "--json",
     ];
-    let reference = svc_sim(&run, &scratch("attached-ref.profile.json"), &attached);
+    let reference = svc_sim(&run, &scratch.path("attached-ref.profile.json"), &attached);
 
     // The file keeps the last checkpoint before the run finished.
-    let ckpt = scratch("attached.svc");
-    let _ = std::fs::remove_file(&ckpt);
+    let ckpt = scratch.path("attached.svc");
     let ckpt_arg = ckpt.to_str().expect("utf8 path");
     let checkpointed = [
         &run[..],
         &["--checkpoint-out", ckpt_arg, "--checkpoint-every", "8000"],
     ]
     .concat();
-    let profile_out = scratch("attached.profile.json");
+    let profile_out = scratch.path("attached.profile.json");
     assert_eq!(
         svc_sim(&checkpointed, &profile_out, &attached),
         reference,

@@ -89,10 +89,10 @@ fn miss_ratio_gap_directions_match_table2_through_the_harness() {
             MemoryKind::Svc { kb_per_cache: 8 },
         ],
     );
-    let outcome = run_paper_grid(&jobs, 300_000, &RunOptions::default());
+    let results = run_paper_grid(&jobs, 300_000, &RunOptions::default());
     for (i, b) in Spec95::ALL.into_iter().enumerate() {
-        let a = outcome.results[i * 2].miss_ratio;
-        let s = outcome.results[i * 2 + 1].miss_ratio;
+        let a = results[i * 2].miss_ratio;
+        let s = results[i * 2 + 1].miss_ratio;
         if b == Spec95::Perl {
             assert!(s < a, "perl inverts: SVC {s:.3} < ARB {a:.3}");
         } else {
@@ -112,9 +112,9 @@ fn bus_utilization_shape_matches_table3_through_the_harness() {
             MemoryKind::Svc { kb_per_cache: 16 },
         ],
     );
-    let outcome = run_paper_grid(&jobs, BUDGET, &RunOptions::default());
-    let util8 = |i: usize| outcome.results[i * 2].bus_utilization;
-    let util16 = |i: usize| outcome.results[i * 2 + 1].bus_utilization;
+    let results = run_paper_grid(&jobs, BUDGET, &RunOptions::default());
+    let util8 = |i: usize| results[i * 2].bus_utilization;
+    let util16 = |i: usize| results[i * 2 + 1].bus_utilization;
     let mgrid_idx = Spec95::ALL
         .into_iter()
         .position(|b| b == Spec95::Mgrid)
@@ -146,9 +146,8 @@ fn experiment_json_documents_roundtrip() {
     // must parse back to the same value, with the metrics intact.
     let jobs = cross(&[Spec95::Ijpeg], &[MemoryKind::Svc { kb_per_cache: 8 }]);
     let budget = 10_000;
-    let outcome = run_paper_grid(&jobs, budget, &RunOptions::default());
-    let runs: Vec<Json> = outcome
-        .results
+    let results = run_paper_grid(&jobs, budget, &RunOptions::default());
+    let runs: Vec<Json> = results
         .iter()
         .map(|r| report::experiment_result_json(r, PAPER_SEED))
         .collect();
@@ -164,14 +163,11 @@ fn experiment_json_documents_roundtrip() {
     assert_eq!(runs.len(), 1);
     let run = &runs[0];
     assert_eq!(run.get("workload").and_then(Json::as_str), Some("ijpeg"));
-    assert_eq!(
-        run.get("ipc").and_then(Json::as_f64),
-        Some(outcome.results[0].ipc)
-    );
+    assert_eq!(run.get("ipc").and_then(Json::as_f64), Some(results[0].ipc));
     let mem = run.get("report").and_then(|r| r.get("mem")).expect("mem");
     assert_eq!(
         mem.get("loads").and_then(Json::as_f64),
-        Some(outcome.results[0].report.mem.loads as f64)
+        Some(results[0].report.mem.loads as f64)
     );
 }
 

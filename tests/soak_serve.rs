@@ -12,6 +12,9 @@ use std::time::{Duration, Instant};
 
 use svc_repro::bench::report::{parse, SCHEMA_SOAK};
 
+mod common;
+use common::Scratch;
+
 const BIN: &str = env!("CARGO_BIN_EXE_svc-sim");
 
 extern "C" {
@@ -19,12 +22,6 @@ extern "C" {
 }
 
 const SIGTERM: i32 = 15;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("svc-soak-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
-}
 
 /// Runs a bounded soak and returns (stdout, snapshot bytes).
 fn bounded_soak(out: &PathBuf, threads: &str) -> (Vec<u8>, Vec<u8>) {
@@ -53,7 +50,8 @@ fn bounded_soak(out: &PathBuf, threads: &str) -> (Vec<u8>, Vec<u8>) {
 
 #[test]
 fn bounded_serve_is_byte_identical_across_invocations_and_threads() {
-    let out = scratch("bounded.json");
+    let scratch = Scratch::new("soak-serve-bounded");
+    let out = scratch.path("bounded.json");
     let (stdout_a, snap_a) = bounded_soak(&out, "1");
     let (stdout_b, snap_b) = bounded_soak(&out, "2");
     let (stdout_c, snap_c) = bounded_soak(&out, "8");
@@ -117,9 +115,9 @@ fn terminate(mut child: Child) {
 
 #[test]
 fn unbounded_serve_answers_http_and_dies_cleanly_on_sigterm() {
-    let addr_file = scratch("serve.addr");
-    let out = scratch("unbounded.json");
-    let _ = std::fs::remove_file(&addr_file);
+    let scratch = Scratch::new("soak-serve-unbounded");
+    let addr_file = scratch.path("serve.addr");
+    let out = scratch.path("unbounded.json");
     let child = Command::new(BIN)
         .args([
             "serve",
